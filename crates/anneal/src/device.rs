@@ -416,7 +416,11 @@ impl Annealer {
                 "job problem does not share the batch structure"
             );
             if let Some(init) = job.init {
-                assert_eq!(init.len(), structure.num_spins(), "candidate length mismatch");
+                assert_eq!(
+                    init.len(),
+                    structure.num_spins(),
+                    "candidate length mismatch"
+                );
             }
         }
         let total: usize = jobs.iter().map(|j| j.num_anneals).sum();
@@ -961,7 +965,9 @@ mod tests {
         let p = toy_problem();
         let sched = Schedule::standard(1.0);
         let num_anneals = 13;
-        let sweeps = sched.sweep_fractions(AnnealerConfig::default().sweeps_per_us).len();
+        let sweeps = sched
+            .sweep_fractions(AnnealerConfig::default().sweeps_per_us)
+            .len();
         let mut totals = Vec::new();
         for (threads, width) in [(1, 1), (1, 8), (4, 5), (3, 16)] {
             let telemetry = Telemetry::enabled();

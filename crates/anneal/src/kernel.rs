@@ -603,7 +603,9 @@ impl ReplicaBatch {
 
     /// Replica `r`'s configuration, gathered out of the strided layout.
     pub fn replica_spins(&self, r: usize) -> Vec<Spin> {
-        (0..self.n).map(|i| self.spins[i * self.width + r]).collect()
+        (0..self.n)
+            .map(|i| self.spins[i * self.width + r])
+            .collect()
     }
 
     /// Replica `r`'s energy, in the same accumulation order as
@@ -611,7 +613,10 @@ impl ReplicaBatch {
     pub fn energy(&self, r: usize) -> f64 {
         let w = self.width;
         (0..self.n)
-            .map(|i| self.spins[i * w + r] as f64 * (self.fields[i * w + r] + self.linear[i * w + r]) / 2.0)
+            .map(|i| {
+                self.spins[i * w + r] as f64 * (self.fields[i * w + r] + self.linear[i * w + r])
+                    / 2.0
+            })
             .sum()
     }
 
@@ -691,8 +696,7 @@ impl ReplicaBatch {
             {
                 let spins: &mut [Spin; W] =
                     (&mut self.spins[base..base + W]).try_into().expect("strip");
-                let fields: &[f64; W] =
-                    (&self.fields[base..base + W]).try_into().expect("strip");
+                let fields: &[f64; W] = (&self.fields[base..base + W]).try_into().expect("strip");
                 for r in 0..W {
                     let s = spins[r];
                     let delta = -2.0 * s as f64 * fields[r];
@@ -712,12 +716,7 @@ impl ReplicaBatch {
     /// Width-monomorphized scatter: same row walk as
     /// [`ReplicaBatch::scatter`], but the per-entry strip update is a
     /// fixed-`W` array operation the compiler fully unrolls.
-    fn scatter_w<const W: usize>(
-        &mut self,
-        problem: &CompiledProblem,
-        i: usize,
-        steps: &[f64; W],
-    ) {
+    fn scatter_w<const W: usize>(&mut self, problem: &CompiledProblem, i: usize, steps: &[f64; W]) {
         let (lo, hi) = problem.row_bounds(i);
         let idx = &problem.neighbors_flat()[lo..hi];
         if self.shared() {
@@ -761,16 +760,14 @@ impl ReplicaBatch {
         for &i in chains.members(c) {
             let base = i as usize * w;
             for r in 0..w {
-                self.deltas[r] +=
-                    -2.0 * self.spins[base + r] as f64 * self.fields[base + r];
+                self.deltas[r] += -2.0 * self.spins[base + r] as f64 * self.fields[base + r];
             }
         }
         for &(a, b, g) in chains.internal_edges(c) {
             let ab = a as usize * w;
             let bb = b as usize * w;
             for r in 0..w {
-                self.deltas[r] +=
-                    4.0 * g * self.spins[ab + r] as f64 * self.spins[bb + r] as f64;
+                self.deltas[r] += 4.0 * g * self.spins[ab + r] as f64 * self.spins[bb + r] as f64;
             }
         }
         let mut any = false;
@@ -1122,14 +1119,23 @@ impl SqaReplicaBatch {
                 let at = (k * self.n + i as usize) * w;
                 let up_at = (up * self.n + i as usize) * w;
                 let down_at = (down * self.n + i as usize) * w;
-                for r in 0..w {
-                    pairs[r] += self.spins[at + r] as f64
-                        * (self.spins[up_at + r] + self.spins[down_at + r]) as f64;
+                let spins = &self.spins;
+                for (((pair, &s), &s_up), &s_down) in pairs[..w]
+                    .iter_mut()
+                    .zip(&spins[at..at + w])
+                    .zip(&spins[up_at..up_at + w])
+                    .zip(&spins[down_at..down_at + w])
+                {
+                    *pair += s as f64 * (s_up + s_down) as f64;
                 }
             }
-            for r in 0..w {
-                self.mask[r] = accept(r, self.deltas[r], pairs[r]);
-                any |= self.mask[r];
+            for (r, (mask, (&delta, &pair))) in self.mask[..w]
+                .iter_mut()
+                .zip(self.deltas[..w].iter().zip(&pairs[..w]))
+                .enumerate()
+            {
+                *mask = accept(r, delta, pair);
+                any |= *mask;
             }
             self.steps = pairs;
         }
@@ -1183,8 +1189,7 @@ impl SqaReplicaBatch {
             let ab = (base + a as usize) * w;
             let bb = (base + b as usize) * w;
             for r in 0..w {
-                self.deltas[r] +=
-                    4.0 * g * self.spins[ab + r] as f64 * self.spins[bb + r] as f64;
+                self.deltas[r] += 4.0 * g * self.spins[ab + r] as f64 * self.spins[bb + r] as f64;
             }
         }
     }

@@ -163,8 +163,8 @@ proptest! {
                         batch.bind_replica(r, q);
                     }
                 }
-                for r in 0..width {
-                    batch.init_replica_random(&compiled, r, &mut rngs[r]);
+                for (r, rng) in rngs.iter_mut().enumerate() {
+                    batch.init_replica_random(&compiled, r, rng);
                 }
                 sa::anneal_batch_compiled(&compiled, &cc, &betas, &mut batch, &mut rngs);
                 for (r, st) in serial.iter().enumerate() {
@@ -222,8 +222,8 @@ proptest! {
                         batch.bind_replica(r, q);
                     }
                 }
-                for r in 0..width {
-                    batch.init_replica_random(&compiled, r, &mut rngs[r]);
+                for (r, rng) in rngs.iter_mut().enumerate() {
+                    batch.init_replica_random(&compiled, r, rng);
                 }
                 sqa::anneal_batch_compiled(&compiled, &cc, &fractions, &mut batch, &mut rngs);
                 for (r, st) in serial.iter().enumerate() {

@@ -18,15 +18,13 @@
 
 use crate::reduce::{ising_from_ml, ising_from_ml_amortized};
 use crate::scenario::DetectionInput;
-use quamax_anneal::{AnnealJob, Annealer, CompiledChains, Schedule, SolutionDistribution};
-use quamax_chimera::{
-    parallelization, unembed_majority_vote, ChimeraGraph, CliqueEmbedding, EmbedParams,
-    EmbeddedProblem, EmbeddingError,
-};
-use quamax_ising::{spins_to_bits, CompiledProblem, IsingProblem};
+use crate::session::{check_matrix, check_vector, expect_valid, Annealed, IsingSession};
+use quamax_anneal::{Annealer, Schedule, SolutionDistribution};
+use quamax_chimera::{ChimeraGraph, EmbedParams, EmbeddingError};
+use quamax_ising::{bits_to_spins, spins_to_bits, IsingProblem};
 use quamax_linalg::{CMatrix, CVector};
 use quamax_telemetry::Telemetry;
-use quamax_wireless::gray::quamax_bits_to_gray;
+use quamax_wireless::gray::{gray_bits_to_quamax, quamax_bits_to_gray};
 use quamax_wireless::Modulation;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -56,12 +54,17 @@ impl Default for DecoderConfig {
 pub enum DecodeError {
     /// The problem does not fit the chip (Table 2's bold region).
     Embedding(EmbeddingError),
+    /// An input is malformed: a NaN or infinite entry in the channel or
+    /// the input vector, or a vector whose length does not match the
+    /// compiled channel. The message names the input.
+    InvalidInput(String),
 }
 
 impl std::fmt::Display for DecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DecodeError::Embedding(e) => write!(f, "embedding failed: {e}"),
+            DecodeError::InvalidInput(what) => write!(f, "invalid input: {what}"),
         }
     }
 }
@@ -71,6 +74,34 @@ impl std::error::Error for DecodeError {}
 impl From<EmbeddingError> for DecodeError {
     fn from(e: EmbeddingError) -> Self {
         DecodeError::Embedding(e)
+    }
+}
+
+/// The ML reduction over one compiled channel — the decode front-end's
+/// logical-problem builder.
+struct MlReduction {
+    modulation: Modulation,
+    h: CMatrix,
+    /// `H*H` — the channel Gram matrix every closed-form coupling and
+    /// field reads (computed once per coherence interval).
+    gram: CMatrix,
+    /// `H*` — applied per decode for the matched filter `H*y`.
+    h_herm: CMatrix,
+}
+
+impl MlReduction {
+    /// The ML Ising problem of `y` and its offset
+    /// `‖y − He‖² = E_ising + offset`, after checking `y`.
+    fn ising(&self, y: &CVector) -> Result<(IsingProblem, f64), DecodeError> {
+        check_vector("received vector y", y, self.h.rows())?;
+        Ok(if self.modulation == Modulation::Qam64 {
+            // No closed form: the generic reduction recomputes the
+            // QUBO; the session still amortizes embedding + freeze.
+            ising_from_ml(&self.h, y, self.modulation)
+        } else {
+            let h_y = self.h_herm.mul_vec(y);
+            ising_from_ml_amortized(&self.h, &self.gram, &h_y, y, self.modulation)
+        })
     }
 }
 
@@ -140,7 +171,9 @@ impl QuamaxDecoder {
         num_anneals: usize,
         rng: &mut R,
     ) -> Result<DecodeRun, DecodeError> {
-        self.decode_inner(input, num_anneals, None, rng)
+        // One-shot decode = a single-use session: same reductions, same
+        // programmed coefficients, same RNG draws.
+        self.compile(input)?.run(&input.y, num_anneals, None, rng)
     }
 
     /// Reverse-anneal decode (§8 future work): refine a classical
@@ -158,33 +191,9 @@ impl QuamaxDecoder {
         candidate_gray_bits: &[u8],
         rng: &mut R,
     ) -> Result<DecodeRun, DecodeError> {
-        assert!(
-            self.config.schedule.is_reverse(),
-            "decode_reverse needs a Schedule::reverse configuration"
-        );
-        assert_eq!(
-            candidate_gray_bits.len(),
-            input.num_bits(),
-            "candidate bit count mismatch"
-        );
-        self.decode_inner(input, num_anneals, Some(candidate_gray_bits), rng)
-    }
-
-    fn decode_inner<R: Rng + ?Sized>(
-        &self,
-        input: &DetectionInput,
-        num_anneals: usize,
-        candidate_gray_bits: Option<&[u8]>,
-        rng: &mut R,
-    ) -> Result<DecodeRun, DecodeError> {
-        // One-shot decode = a single-use session. The session produces
-        // bit-identical results to the historical inline path (same
-        // reductions, same programmed coefficients, same RNG draws).
-        let mut session = self.compile(input)?;
-        Ok(match candidate_gray_bits {
-            None => session.decode_with_rng(&input.y, num_anneals, rng),
-            Some(gray) => session.decode_reverse(&input.y, num_anneals, gray, rng),
-        })
+        let reverse = (candidate_gray_bits, self.config.schedule);
+        self.compile(input)?
+            .run(&input.y, num_anneals, Some(reverse), rng)
     }
 
     /// Compiles the channel-dependent (per-coherence-interval) part of
@@ -200,269 +209,60 @@ impl QuamaxDecoder {
     /// interval against it, paying the reduce→embed→freeze cost once
     /// (`input.y` is used only to shape the compile; any `y` of the
     /// interval works).
+    ///
+    /// Fails with [`DecodeError::InvalidInput`] when `H` or `y` holds a
+    /// non-finite entry or `y` does not match `H`'s receive antennas,
+    /// and with [`DecodeError::Embedding`] when the problem does not
+    /// fit the chip.
     pub fn compile(&self, input: &DetectionInput) -> Result<DecodeSession, DecodeError> {
-        let gram = input.h.gram();
-        let h_herm = input.h.hermitian();
-        let (logical, _) = if input.modulation == Modulation::Qam64 {
-            ising_from_ml(&input.h, &input.y, input.modulation)
-        } else {
-            let h_y = h_herm.mul_vec(&input.y);
-            ising_from_ml_amortized(&input.h, &gram, &h_y, &input.y, input.modulation)
+        check_matrix("channel H", &input.h)?;
+        let ml = MlReduction {
+            modulation: input.modulation,
+            h: input.h.clone(),
+            gram: input.h.gram(),
+            h_herm: input.h.hermitian(),
         };
+        let (logical, _) = ml.ising(&input.y)?;
         self.telemetry.counter_inc(
             "quamax_core_reduce_total",
             &[("modulation", input.modulation.name())],
         );
-        let embedding = CliqueEmbedding::new(&self.graph, logical.num_spins())?;
-        self.telemetry.counter_inc("quamax_core_embed_total", &[]);
-        let embedded =
-            EmbeddedProblem::compile(&self.graph, &embedding, &logical, self.config.embed);
-        // Freeze the programmed problem into the annealer's CSR kernel
-        // view once per session; decodes refresh coefficients in place.
-        let base = CompiledProblem::new(embedded.problem());
-        let chains = CompiledChains::compile(&base, embedded.chains());
-        // Resolve each programmed coupler's CSR entry once; per decode
-        // the new value is written straight into the frozen layout.
-        let slots: Vec<(u32, u32, u32)> = embedded
-            .programmed_couplers()
-            .iter()
-            .map(|&(i, j, da, db)| {
-                let k = base
-                    .coupler_entry(da as usize, db as usize)
-                    .expect("programmed coupler exists in CSR");
-                (k as u32, i, j)
-            })
-            .collect();
-        let mut chain_of = vec![0u32; embedded.num_physical()];
-        for (i, chain) in embedded.chains().iter().enumerate() {
-            for &d in chain {
-                chain_of[d] = i as u32;
-            }
-        }
-        let chain_len = embedded.chains().first().map_or(1, Vec::len) as f64;
-        let scratch = base.clone();
-        self.telemetry
-            .counter_inc("quamax_core_csr_freeze_total", &[]);
-        Ok(DecodeSession {
-            inner: SessionInner {
-                telemetry: self.telemetry.clone(),
-                annealer: self
-                    .annealer
-                    .clone()
-                    .with_telemetry(self.telemetry.clone()),
-                config: self.config,
-                modulation: input.modulation,
-                h: input.h.clone(),
-                gram,
-                h_herm,
-                parallel_factor: parallelization(embedding.num_logical()).max(1),
-                embedded,
-                base,
-                chains,
-                slots,
-                chain_of,
-                chain_len,
-            },
-            scratch,
-        })
+        let core = IsingSession::compile(
+            &self.graph,
+            &logical,
+            self.config.embed,
+            self.annealer.clone().with_telemetry(self.telemetry.clone()),
+            self.config.schedule,
+            self.telemetry.clone(),
+        )?;
+        Ok(DecodeSession { core, ml })
     }
 }
 
-/// A compiled decode session: the `H`-dependent work (ML reduction
-/// structure, Chimera embedding, CSR freeze, chain tables) done once,
-/// with per-`y` decodes reduced to an in-place linear-field/scale
-/// refresh plus the anneal batch itself.
+/// A compiled decode session: the ML front-end over the shared compiled
+/// Ising session. The `H`-dependent work (Gram matrix, embedding, CSR
+/// freeze, chain tables) is done once; a per-`y` decode rebuilds the
+/// small logical problem, refreshes fields and scale in place, and runs
+/// the anneal batch.
 ///
 /// Produced by [`QuamaxDecoder::compile`]. Decodes through a session
 /// are bit-identical to [`QuamaxDecoder::decode`] on the same
 /// `(H, y, seed)` — the session is an amortization, not a different
 /// algorithm.
 pub struct DecodeSession {
-    inner: SessionInner,
-    /// The programmed-problem view refreshed per decode (`&mut self`
-    /// decode path); batch workers clone their own from `inner.base`.
-    scratch: CompiledProblem,
-}
-
-/// The shared, read-only part of a session (what batch workers borrow).
-struct SessionInner {
-    /// Inherited from the compiling decoder ([`Telemetry`] is a cheap
-    /// shared handle, safe to record through from batch workers).
-    telemetry: Telemetry,
-    annealer: Annealer,
-    config: DecoderConfig,
-    modulation: Modulation,
-    h: CMatrix,
-    /// `H*H` — the channel Gram matrix every closed-form coupling and
-    /// field reads (computed once per coherence interval).
-    gram: CMatrix,
-    /// `H*` — applied per decode for the matched filter `H*y`.
-    h_herm: CMatrix,
-    parallel_factor: usize,
-    /// Chain layout + programming map (coefficients inside are stale
-    /// after compile; only structure is read).
-    embedded: EmbeddedProblem,
-    /// The frozen CSR template: chain couplers valid for the whole
-    /// session, fields/problem couplers refreshed per decode.
-    base: CompiledProblem,
-    chains: CompiledChains,
-    /// `(CSR entry, logical i, logical j)` per programmed coupler.
-    slots: Vec<(u32, u32, u32)>,
-    /// Dense physical qubit → owning logical chain.
-    chain_of: Vec<u32>,
-    chain_len: f64,
-}
-
-/// How one decode run anneals: from scratch, or backwards from a
-/// candidate state (optionally under a schedule other than the
-/// session's compiled one — the IDD warm-start entry).
-#[derive(Clone, Copy)]
-enum RunMode<'a> {
-    Forward,
-    Reverse {
-        candidate_gray_bits: &'a [u8],
-        schedule: Option<&'a Schedule>,
-    },
-}
-
-impl SessionInner {
-    /// Rebuilds the (small) logical problem for `y` and writes the
-    /// programmed coefficients into `scratch`, reproducing exactly what
-    /// a fresh reduce→embed→freeze would put there.
-    fn program(&self, y: &CVector, scratch: &mut CompiledProblem) -> (IsingProblem, f64) {
-        assert_eq!(
-            y.len(),
-            self.h.rows(),
-            "received vector length differs from receive antennas"
-        );
-        let (logical, offset) = if self.modulation == Modulation::Qam64 {
-            // No closed form: the generic reduction recomputes the
-            // QUBO; still amortizes embedding + freeze.
-            ising_from_ml(&self.h, y, self.modulation)
-        } else {
-            let h_y = self.h_herm.mul_vec(y);
-            ising_from_ml_amortized(&self.h, &self.gram, &h_y, y, self.modulation)
-        };
-        let scale = self.embedded.scale_for(&logical);
-        for (d, &c) in self.chain_of.iter().enumerate() {
-            scratch.set_linear_term(d, logical.linear(c as usize) * scale / self.chain_len);
-        }
-        for &(k, i, j) in &self.slots {
-            scratch.set_entry_weight(k as usize, logical.coupling(i as usize, j as usize) * scale);
-        }
-        self.telemetry
-            .counter_inc("quamax_core_field_refresh_total", &[]);
-        (logical, offset)
-    }
-
-    fn run_with<R: Rng + ?Sized>(
-        &self,
-        scratch: &mut CompiledProblem,
-        annealer: &Annealer,
-        y: &CVector,
-        num_anneals: usize,
-        mode: RunMode<'_>,
-        rng: &mut R,
-    ) -> DecodeRun {
-        let schedule = match mode {
-            RunMode::Reverse {
-                schedule: Some(s), ..
-            } => *s,
-            _ => self.config.schedule,
-        };
-        let (logical, offset) = self.program(y, scratch);
-        let seed: u64 = rng.random();
-        let samples = match mode {
-            RunMode::Forward => {
-                annealer.run_compiled(scratch, &self.chains, &schedule, num_anneals, seed)
-            }
-            RunMode::Reverse {
-                candidate_gray_bits: gray,
-                ..
-            } => {
-                // Gray bits → QuAMax-transform bits → logical spins →
-                // expansion onto the physical chains.
-                let q = self.modulation.bits_per_symbol();
-                let logical_spins = quamax_ising::bits_to_spins(
-                    &gray
-                        .chunks(q)
-                        .flat_map(quamax_wireless::gray::gray_bits_to_quamax)
-                        .collect::<Vec<u8>>(),
-                );
-                let mut physical = vec![0i8; self.embedded.num_physical()];
-                for (i, chain) in self.embedded.chains().iter().enumerate() {
-                    for &d in chain {
-                        physical[d] = logical_spins[i];
-                    }
-                }
-                annealer.run_reverse_compiled(
-                    scratch,
-                    &self.chains,
-                    &physical,
-                    &schedule,
-                    num_anneals,
-                    seed,
-                )
-            }
-        };
-
-        self.finish(logical, offset, schedule, &samples, rng)
-    }
-
-    /// The post-anneal half of a decode: accounting, per-sample
-    /// majority-vote unembedding (tie-breaks drawn from `rng`, which
-    /// must be positioned right after the anneal-seed draw), and the
-    /// ranked solution distribution.
-    fn finish<R: Rng + ?Sized>(
-        &self,
-        logical: IsingProblem,
-        ml_offset: f64,
-        schedule: Schedule,
-        samples: &[Vec<quamax_ising::Spin>],
-        rng: &mut R,
-    ) -> DecodeRun {
-        self.telemetry
-            .counter_add("quamax_core_anneals_total", &[], samples.len() as u64);
-        self.telemetry.observe(
-            "quamax_core_anneal_modeled_us",
-            &[],
-            samples.len() as f64 * schedule.total_time_us(),
-        );
-
-        // Unembed each physical sample; track chain-break statistics.
-        let mut logical_samples = Vec::with_capacity(samples.len());
-        let mut broken = 0usize;
-        for s in samples {
-            let out = unembed_majority_vote(&self.embedded, s, rng);
-            broken += out.broken_chains;
-            logical_samples.push(out.logical);
-        }
-        self.telemetry
-            .counter_add("quamax_core_unembed_total", &[], samples.len() as u64);
-        let distribution = SolutionDistribution::from_samples(&logical, &logical_samples);
-        let total_chains = logical.num_spins().max(1) * samples.len().max(1);
-
-        DecodeRun {
-            distribution,
-            logical,
-            ml_offset,
-            modulation: self.modulation,
-            schedule,
-            parallel_factor: self.parallel_factor,
-            chain_break_fraction: broken as f64 / total_chains as f64,
-        }
-    }
+    core: IsingSession,
+    ml: MlReduction,
 }
 
 impl DecodeSession {
     /// Modulation the session was compiled for.
     pub fn modulation(&self) -> Modulation {
-        self.inner.modulation
+        self.ml.modulation
     }
 
     /// Logical Ising variables (= payload bits per channel use).
     pub fn num_logical(&self) -> usize {
-        self.inner.embedded.chains().len()
+        self.core.num_logical()
     }
 
     /// Payload bits per decode.
@@ -472,12 +272,12 @@ impl DecodeSession {
 
     /// Physical qubits occupied by the compiled embedding.
     pub fn num_physical(&self) -> usize {
-        self.inner.embedded.num_physical()
+        self.core.num_physical()
     }
 
     /// Geometric chip parallelization factor of this problem size.
     pub fn parallel_factor(&self) -> usize {
-        self.inner.parallel_factor
+        self.core.parallel_factor()
     }
 
     /// Problems one anneal wave decodes side by side: the batch size at
@@ -487,7 +287,7 @@ impl DecodeSession {
     /// is why a batch scheduler coalesces *same-channel* jobs — they
     /// share this session and tile without reprogramming.
     pub fn batch_capacity(&self) -> usize {
-        self.inner.parallel_factor
+        self.core.parallel_factor()
     }
 
     /// Projected on-chip anneal time, µs, of decoding `batch`
@@ -499,8 +299,59 @@ impl DecodeSession {
     /// (`quamax_ran::sched`); host preprocessing, programming, and
     /// readout ride on top (`quamax_ran::QpuServer`'s overhead stack).
     pub fn projected_batch_us(&self, batch: usize, num_anneals: usize) -> f64 {
-        let waves = batch.div_ceil(self.batch_capacity()) as f64;
-        waves * num_anneals as f64 * self.inner.config.schedule.total_time_us()
+        self.core.projected_batch_us(batch, num_anneals)
+    }
+
+    /// Wraps a core outcome as the public result.
+    fn decode_run(
+        &self,
+        annealed: Annealed,
+        logical: IsingProblem,
+        ml_offset: f64,
+        schedule: Schedule,
+    ) -> DecodeRun {
+        DecodeRun {
+            distribution: annealed.distribution,
+            logical,
+            ml_offset,
+            modulation: self.ml.modulation,
+            schedule,
+            parallel_factor: self.core.parallel_factor(),
+            chain_break_fraction: annealed.chain_break_fraction,
+        }
+    }
+
+    /// The single-vector decode behind every entry point: forward under
+    /// the compiled schedule, or backwards from `reverse`'s candidate
+    /// Gray bits under its schedule.
+    ///
+    /// # Panics
+    /// Panics when the candidate bit count differs from the payload, or
+    /// the schedule's direction disagrees with the candidate's presence.
+    pub(crate) fn run<R: Rng + ?Sized>(
+        &mut self,
+        y: &CVector,
+        num_anneals: usize,
+        reverse: Option<(&[u8], Schedule)>,
+        rng: &mut R,
+    ) -> Result<DecodeRun, DecodeError> {
+        let (logical, ml_offset) = self.ml.ising(y)?;
+        // Gray bits → QuAMax-transform bits → logical spins.
+        let q = self.ml.modulation.bits_per_symbol();
+        let candidate = reverse.map(|(gray, _)| {
+            assert_eq!(gray.len(), self.num_bits(), "candidate bit count mismatch");
+            bits_to_spins(
+                &gray
+                    .chunks(q)
+                    .flat_map(gray_bits_to_quamax)
+                    .collect::<Vec<u8>>(),
+            )
+        });
+        let schedule = reverse.map_or(self.core.schedule(), |(_, s)| s);
+        let annealed =
+            self.core
+                .run_one(&logical, candidate.as_deref(), schedule, num_anneals, rng);
+        Ok(self.decode_run(annealed, logical, ml_offset, schedule))
     }
 
     /// Decodes one received vector with a fixed seed — the streaming
@@ -508,36 +359,36 @@ impl DecodeSession {
     /// unembedding tie-breaks). Equivalent to
     /// [`QuamaxDecoder::decode`] driven by `StdRng::seed_from_u64(seed)`
     /// on the same `(H, y)`.
+    ///
+    /// # Panics
+    /// Panics when `y` has a non-finite entry or its length differs
+    /// from the receive antennas (the detector traits return
+    /// [`DecodeError::InvalidInput`] instead).
     pub fn decode(&mut self, y: &CVector, num_anneals: usize, seed: u64) -> DecodeRun {
-        let mut rng = StdRng::seed_from_u64(seed);
-        self.decode_with_rng(y, num_anneals, &mut rng)
+        self.decode_with_rng(y, num_anneals, &mut StdRng::seed_from_u64(seed))
     }
 
     /// Decodes one received vector drawing the anneal seed and the
     /// unembedding tie-breaks from `rng` (the historical
     /// [`QuamaxDecoder::decode`] contract).
+    ///
+    /// # Panics
+    /// Panics on a malformed `y`, like [`DecodeSession::decode`].
     pub fn decode_with_rng<R: Rng + ?Sized>(
         &mut self,
         y: &CVector,
         num_anneals: usize,
         rng: &mut R,
     ) -> DecodeRun {
-        self.inner.run_with(
-            &mut self.scratch,
-            &self.inner.annealer,
-            y,
-            num_anneals,
-            RunMode::Forward,
-            rng,
-        )
+        expect_valid(self.run(y, num_anneals, None, rng))
     }
 
     /// Reverse-anneal decode through the session (see
     /// [`QuamaxDecoder::decode_reverse`]).
     ///
     /// # Panics
-    /// Panics when the candidate bit count differs from the payload, or
-    /// the configured schedule is not reverse.
+    /// Panics when the candidate bit count differs from the payload,
+    /// the configured schedule is not reverse, or `y` is malformed.
     pub fn decode_reverse<R: Rng + ?Sized>(
         &mut self,
         y: &CVector,
@@ -545,26 +396,8 @@ impl DecodeSession {
         candidate_gray_bits: &[u8],
         rng: &mut R,
     ) -> DecodeRun {
-        assert!(
-            self.inner.config.schedule.is_reverse(),
-            "decode_reverse needs a Schedule::reverse configuration"
-        );
-        assert_eq!(
-            candidate_gray_bits.len(),
-            self.num_bits(),
-            "candidate bit count mismatch"
-        );
-        self.inner.run_with(
-            &mut self.scratch,
-            &self.inner.annealer,
-            y,
-            num_anneals,
-            RunMode::Reverse {
-                candidate_gray_bits,
-                schedule: None,
-            },
-            rng,
-        )
+        let reverse = (candidate_gray_bits, self.core.schedule());
+        expect_valid(self.run(y, num_anneals, Some(reverse), rng))
     }
 
     /// Reverse-anneal decode from a *supplied* candidate state under a
@@ -576,8 +409,8 @@ impl DecodeSession {
     /// `seed` exactly like [`DecodeSession::decode`].
     ///
     /// # Panics
-    /// Panics when the candidate bit count differs from the payload, or
-    /// `schedule` is not reverse.
+    /// Panics when the candidate bit count differs from the payload,
+    /// `schedule` is not reverse, or `y` is malformed.
     pub fn decode_reverse_from(
         &mut self,
         y: &CVector,
@@ -586,27 +419,9 @@ impl DecodeSession {
         schedule: &Schedule,
         seed: u64,
     ) -> DecodeRun {
-        assert!(
-            schedule.is_reverse(),
-            "decode_reverse_from needs a Schedule::reverse schedule"
-        );
-        assert_eq!(
-            candidate_gray_bits.len(),
-            self.num_bits(),
-            "candidate bit count mismatch"
-        );
+        let reverse = (candidate_gray_bits, *schedule);
         let mut rng = StdRng::seed_from_u64(seed);
-        self.inner.run_with(
-            &mut self.scratch,
-            &self.inner.annealer,
-            y,
-            num_anneals,
-            RunMode::Reverse {
-                candidate_gray_bits,
-                schedule: Some(schedule),
-            },
-            &mut rng,
-        )
+        expect_valid(self.run(y, num_anneals, Some(reverse), &mut rng))
     }
 
     /// Decodes a batch of `(y, seed)` pairs — one coherence interval's
@@ -622,42 +437,22 @@ impl DecodeSession {
     /// [`DecodeSession::decode`] item by item (and to one-shot
     /// [`QuamaxDecoder::decode`] under the same seeds), regardless of
     /// batch width or worker count.
+    ///
+    /// # Panics
+    /// Panics, before any anneal, when any item's `y` is malformed.
     pub fn decode_batch(&self, items: &[(CVector, u64)], num_anneals: usize) -> Vec<DecodeRun> {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let inner = &self.inner;
-        // Program every item's coefficients into its own view of the
-        // session's frozen structure, splitting each item's RNG stream
-        // exactly like the serial path: anneal seed first, unembedding
-        // tie-breaks after.
-        let mut programmed = Vec::with_capacity(items.len());
-        for (y, seed) in items {
-            let mut scratch = inner.base.clone();
-            let mut rng = StdRng::seed_from_u64(*seed);
-            let (logical, offset) = inner.program(y, &mut scratch);
-            let anneal_seed: u64 = rng.random();
-            programmed.push((scratch, logical, offset, anneal_seed, rng));
-        }
-        let schedule = inner.config.schedule;
-        let jobs: Vec<AnnealJob> = programmed
+        let (logicals, offsets): (Vec<IsingProblem>, Vec<f64>) = items
             .iter()
-            .map(|(scratch, _, _, anneal_seed, _)| AnnealJob {
-                problem: scratch,
-                init: None,
-                num_anneals,
-                seed: *anneal_seed,
-            })
-            .collect();
-        let sample_sets = inner
-            .annealer
-            .run_jobs(&inner.base, &inner.chains, &schedule, &jobs);
-        drop(jobs);
-        programmed
+            .map(|(y, _)| expect_valid(self.ml.ising(y)))
+            .unzip();
+        let seeds = items.iter().map(|&(_, seed)| seed);
+        let schedule = self.core.schedule();
+        self.core
+            .run_batch(&logicals, seeds, num_anneals)
             .into_iter()
-            .zip(sample_sets)
-            .map(|((_, logical, offset, _, mut rng), samples)| {
-                inner.finish(logical, offset, schedule, &samples, &mut rng)
+            .zip(logicals.into_iter().zip(offsets))
+            .map(|(annealed, (logical, offset))| {
+                self.decode_run(annealed, logical, offset, schedule)
             })
             .collect()
     }
@@ -1127,5 +922,98 @@ mod tests {
             Err(DecodeError::Embedding(EmbeddingError::DoesNotFit { n: 160, .. })) => {}
             other => panic!("expected DoesNotFit, got {:?}", other.err()),
         }
+    }
+
+    fn nan() -> quamax_linalg::Complex {
+        quamax_linalg::Complex::new(f64::NAN, 0.0)
+    }
+
+    fn qpsk_input(seed: u64) -> DetectionInput {
+        let mut rng = StdRng::seed_from_u64(seed);
+        Scenario::new(3, 3, Modulation::Qpsk)
+            .sample(&mut rng)
+            .detection_input()
+    }
+
+    #[test]
+    fn non_finite_channel_is_rejected_at_compile() {
+        let decoder = QuamaxDecoder::new(quiet_annealer(), DecoderConfig::default());
+        for bad in [nan(), quamax_linalg::Complex::new(0.0, f64::INFINITY)] {
+            let mut input = qpsk_input(30);
+            input.h[(1, 2)] = bad;
+            match decoder.compile(&input) {
+                Err(DecodeError::InvalidInput(what)) => assert!(what.contains("channel H")),
+                other => panic!("expected InvalidInput, got {:?}", other.err()),
+            }
+            let mut rng = StdRng::seed_from_u64(1);
+            assert!(matches!(
+                decoder.decode(&input, 4, &mut rng),
+                Err(DecodeError::InvalidInput(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn non_finite_or_mis_sized_y_is_rejected_at_compile() {
+        let decoder = QuamaxDecoder::new(quiet_annealer(), DecoderConfig::default());
+        let mut input = qpsk_input(31);
+        input.y[0] = nan();
+        match decoder.compile(&input) {
+            Err(DecodeError::InvalidInput(what)) => {
+                assert_eq!(what, "received vector y has a non-finite entry")
+            }
+            other => panic!("expected InvalidInput, got {:?}", other.err()),
+        }
+        input.y = CVector::zeros(2);
+        match decoder.compile(&input) {
+            Err(DecodeError::InvalidInput(what)) => {
+                assert_eq!(what, "received vector y has length 2, expected 3")
+            }
+            other => panic!("expected InvalidInput, got {:?}", other.err()),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid input: received vector y has a non-finite entry")]
+    fn session_decode_panics_on_non_finite_y() {
+        let input = qpsk_input(32);
+        let decoder = QuamaxDecoder::new(quiet_annealer(), DecoderConfig::default());
+        let mut session = decoder.compile(&input).unwrap();
+        let mut y = input.y.clone();
+        y[2] = nan();
+        let _ = session.decode(&y, 4, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid input: received vector y has length 4, expected 3")]
+    fn session_decode_panics_on_mis_sized_y() {
+        let input = qpsk_input(33);
+        let decoder = QuamaxDecoder::new(quiet_annealer(), DecoderConfig::default());
+        let mut session = decoder.compile(&input).unwrap();
+        let _ = session.decode(&CVector::zeros(4), 4, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid input: received vector y has a non-finite entry")]
+    fn batch_decode_panics_on_a_non_finite_item() {
+        let input = qpsk_input(34);
+        let decoder = QuamaxDecoder::new(quiet_annealer(), DecoderConfig::default());
+        let session = decoder.compile(&input).unwrap();
+        let mut bad = input.y.clone();
+        bad[0] = nan();
+        let _ = session.decode_batch(&[(input.y.clone(), 1), (bad, 2)], 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid input: received vector y has a non-finite entry")]
+    fn reverse_decode_panics_on_non_finite_y() {
+        let input = qpsk_input(35);
+        let decoder = QuamaxDecoder::new(quiet_annealer(), DecoderConfig::default());
+        let mut session = decoder.compile(&input).unwrap();
+        let mut y = input.y.clone();
+        y[1] = nan();
+        let candidate = vec![0u8; session.num_bits()];
+        let reverse = Schedule::reverse(2.0, 0.6, 2.0);
+        let _ = session.decode_reverse_from(&y, 4, &candidate, &reverse, 1);
     }
 }

@@ -39,11 +39,14 @@ use quamax_baselines::{
 };
 use quamax_linalg::{CMatrix, CVector, LinalgError};
 use quamax_wireless::{Modulation, Snr};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Why a detector could not compile or decode.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DetectError {
-    /// The annealed path failed (problem does not embed on the chip).
+    /// The annealed path failed (problem does not embed on the chip,
+    /// or an input is malformed).
     Decode(DecodeError),
     /// A linear filter could not be formed (rank-deficient channel).
     Linalg(LinalgError),
@@ -84,6 +87,8 @@ impl DetectError {
     ///
     /// * embedding failures are **permanent**: the problem does not fit
     ///   the chip, and refuses to on every worker of the same topology;
+    /// * invalid input is **permanent**: a non-finite or mis-shaped
+    ///   channel or vector is rejected identically on every attempt;
     /// * linear-algebra failures are **permanent**: a singular or
     ///   mis-shaped channel factorizes identically on every attempt;
     /// * sphere failures are **transient**: both the initial radius and
@@ -91,7 +96,7 @@ impl DetectError {
     ///   relax.
     pub fn class(&self) -> ErrorClass {
         match self {
-            DetectError::Decode(DecodeError::Embedding(_)) => ErrorClass::Permanent,
+            DetectError::Decode(_) => ErrorClass::Permanent,
             DetectError::Linalg(_) => ErrorClass::Permanent,
             DetectError::Sphere(_) => ErrorClass::Transient,
         }
@@ -524,7 +529,8 @@ impl Detector for QuamaxDetector {
 
 impl DetectorSession for QuamaxSession {
     fn detect(&mut self, y: &CVector, seed: u64) -> Result<Detection, DetectError> {
-        let run = self.session.decode(y, self.anneals, seed);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let run = self.session.run(y, self.anneals, None, &mut rng)?;
         let bits = run.best_bits();
         let metric = run
             .distribution()
@@ -1298,6 +1304,46 @@ mod tests {
         match kind.compile(&inst.detection_input()) {
             Err(DetectError::Decode(DecodeError::Embedding(_))) => {}
             other => panic!("expected embedding failure, got {:?}", other.err()),
+        }
+    }
+
+    #[test]
+    fn quamax_detect_returns_invalid_input_for_a_malformed_y() {
+        let mut rng = StdRng::seed_from_u64(40);
+        let input = Scenario::new(3, 3, Modulation::Qpsk)
+            .sample(&mut rng)
+            .detection_input();
+        let mut session = QuamaxDetector::new(quiet_annealer(), DecoderConfig::default(), 4)
+            .compile(&input)
+            .unwrap();
+        let mut nan_y = input.y.clone();
+        nan_y[0] = quamax_linalg::Complex::new(f64::NAN, 0.0);
+        for y in [nan_y, CVector::zeros(2)] {
+            match session.detect(&y, 1) {
+                Err(e @ DetectError::Decode(DecodeError::InvalidInput(_))) => {
+                    assert_eq!(e.class(), ErrorClass::Permanent)
+                }
+                other => panic!("expected InvalidInput, got {:?}", other.err()),
+            }
+        }
+        // A well-formed vector still decodes through the same session.
+        assert!(session.detect(&input.y, 1).is_ok());
+    }
+
+    #[test]
+    fn quamax_compile_returns_invalid_input_for_a_non_finite_channel() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut input = Scenario::new(3, 3, Modulation::Qpsk)
+            .sample(&mut rng)
+            .detection_input();
+        input.h[(0, 0)] = quamax_linalg::Complex::new(f64::NEG_INFINITY, 0.0);
+        let kind = DetectorKind::quamax(quiet_annealer(), DecoderConfig::default(), 4);
+        match kind.compile(&input) {
+            Err(DetectError::Decode(DecodeError::InvalidInput(_))) => {}
+            other => panic!(
+                "expected InvalidInput, got {:?}",
+                other.err().map(|e| e.to_string())
+            ),
         }
     }
 }

@@ -50,16 +50,22 @@
 //!                                     //   freeze CSR, map couplers
 //! session.decode(&y, na, seed)        // per received vector: refresh
 //!                                     //   fields + scale, anneal
-//! session.decode_batch(&[(y, seed)])  // an interval's worth, sharded
-//!                                     //   across cores (per-worker
+//! session.decode_batch(&[(y, seed)])  // an interval's worth in one
+//!                                     //   device call (per-item
 //!                                     //   scratch, per-item RNG)
 //! ```
 //!
-//! Sessions are an amortization, not a different algorithm: decoding
-//! `(H, y)` through a session is bit-identical to one-shot
-//! [`QuamaxDecoder::decode`] under the same seed (property-tested per
-//! modulation, including reverse annealing), and the one-shot API is
-//! itself a thin wrapper over a single-use session.
+//! `DecodeSession` and the downlink `VppSession` are thin front-ends
+//! over one crate-private compiled Ising session. A front-end keeps its
+//! logical-problem builder (ML reduction, VPP QUBO) and its result
+//! wrapper; the core owns the embedding, CSR freeze, chain and coupler
+//! tables, in-place refresh, reverse-anneal candidate expansion, and
+//! the one run path every forward, reverse, single and batch entry
+//! takes: program → anneal-seed draw → `run_jobs` → majority-vote
+//! unembed with tie-breaks from the same stream → rank. So a session
+//! decode is bit-identical to one-shot [`QuamaxDecoder::decode`] (a
+//! single-use session) and a batch item to the same item alone, under
+//! the same seed; golden tests pin the draw order.
 //!
 //! # DESIGN — the unified detector traits
 //!
@@ -212,19 +218,19 @@
 //! **Role of τ in the coupling structure.** τ multiplies the entire
 //! quadratic block (`τ²CᵀGC`) and only *scales* the per-`u` linear
 //! terms (`2τ·…`): the coupling *pattern* is a function of `(H, t)`
-//! alone. That is exactly the uplink's H-only/y-dependent split, so a
-//! [`precode::VppSession`] compiles the embedding + CSR freeze once
-//! per coherence interval and refreshes only fields and the hardware
-//! scale per symbol vector — `precode_batch` shards an interval across
-//! cores bit-identically to the streaming path, like `decode_batch`.
-//! A `v = 0` floor guarantees the session never transmits more power
-//! than plain ZF on any instance.
+//! alone — the uplink's H-only/y-dependent split again. A
+//! [`precode::VppSession`] is therefore the decode session's compiled
+//! Ising core under a different builder: compile once per coherence
+//! interval, refresh fields and scale per symbol vector, and batch
+//! bit-identically to streaming. Its result wrapper adds a `v = 0`
+//! floor, so it never transmits more power than plain ZF.
 //!
-//! **Warm-start contract.** `precode_reverse_from` re-encodes a
-//! classical candidate perturbation (e.g. THP's greedy `v`, clamped
-//! into the encoding's range) as the reverse anneal's initial state on
-//! the *same* compiled session — no recompile, deterministic in the
-//! seed — mirroring `DecodeSession::decode_reverse_from`.
+//! **Warm-start contract.** `precode_reverse_from` and
+//! `DecodeSession::decode_reverse_from` share one core path: the
+//! front-end maps its candidate (THP's greedy `v`, clamped into the
+//! encoding's range; an IDD decision's bits) to logical spins, and the
+//! core expands them onto the chains and anneals backwards on the
+//! *same* compiled session — no recompile, deterministic in the seed.
 //!
 //! Classical zero-forcing (`τ → ∞`, `v = 0`) and Tomlinson–Harashima
 //! (greedy successive-modulo) slot in behind the same
@@ -242,6 +248,7 @@ pub mod params;
 pub mod precode;
 pub mod reduce;
 pub mod scenario;
+mod session;
 pub mod soft;
 
 pub use coded::{CodedFrame, CodedFrameOutcome, IddIteration, IddOutcome, IddSpec};

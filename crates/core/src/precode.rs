@@ -24,8 +24,9 @@
 //! straight from the complex Gram `W = P*P` — no explicit real `F` is
 //! ever formed. The quadratic part `τ²CᵀGC` depends only on `(H, τ)`,
 //! so one embedding + CSR freeze serves a whole coherence interval and
-//! each user-symbol vector `u` refreshes only the linear fields —
-//! structurally identical to the uplink `DecodeSession` contract.
+//! each user-symbol vector `u` refreshes only the linear fields — which
+//! is why [`VppSession`] runs on the same compiled Ising session as the
+//! uplink `DecodeSession`, with its own QUBO builder and result wrapper.
 //!
 //! [`PrecoderKind`] is the registry mirror of `detect::DetectorKind`:
 //! classical ZF (`τ→∞`, zero perturbation) and Tomlinson–Harashima
@@ -35,18 +36,15 @@
 
 use crate::decoder::{DecodeError, DecoderConfig};
 use crate::detect::{ErrorClass, Route};
-use quamax_anneal::{AnnealJob, Annealer, CompiledChains, Schedule, SolutionDistribution};
-use quamax_chimera::{
-    parallelization, unembed_majority_vote, ChimeraGraph, CliqueEmbedding, EmbeddedProblem,
-    EmbeddingError,
-};
-use quamax_ising::{
-    bits_to_spins, qubo_to_ising, spins_to_bits, CompiledProblem, IsingProblem, QuboProblem,
-};
+use crate::session::{check_matrix, check_vector, expect_valid, Annealed, IsingSession};
+use quamax_anneal::{Annealer, Schedule};
+use quamax_chimera::{ChimeraGraph, EmbeddingError};
+use quamax_ising::{bits_to_spins, qubo_to_ising, spins_to_bits, IsingProblem, QuboProblem};
 use quamax_linalg::{cholesky, pseudo_inverse, CMatrix, CVector, Complex, LinalgError};
+use quamax_telemetry::Telemetry;
 use quamax_wireless::Modulation;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// What a precoder compiles against: the downlink channel estimate and
 /// the constellation the users decode.
@@ -104,7 +102,8 @@ pub fn fold_mod_tau(z: &CVector, tau: f64) -> CVector {
 /// Why a precoder could not compile or precode.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PrecodeError {
-    /// The annealed path failed (problem does not embed on the chip).
+    /// The annealed path failed (problem does not embed on the chip,
+    /// or an input is malformed).
     Decode(DecodeError),
     /// The ZF inverse / Cholesky could not be formed (rank-deficient
     /// or under-determined channel).
@@ -124,12 +123,12 @@ impl std::error::Error for PrecodeError {}
 
 impl PrecodeError {
     /// Classifies this error for the serving layer's retry machinery —
-    /// the same contract as `DetectError::class`: both embedding and
-    /// linear-algebra failures are properties of the job itself and
-    /// fail identically on every worker.
+    /// the same contract as `DetectError::class`: embedding, invalid
+    /// input and linear-algebra failures are properties of the job
+    /// itself and fail identically on every worker.
     pub fn class(&self) -> ErrorClass {
         match self {
-            PrecodeError::Decode(DecodeError::Embedding(_)) => ErrorClass::Permanent,
+            PrecodeError::Decode(_) => ErrorClass::Permanent,
             PrecodeError::Linalg(_) => ErrorClass::Permanent,
         }
     }
@@ -595,180 +594,107 @@ impl Precoder for VppPrecoder {
     /// quadratic QUBO block never changes), so the embedding, the
     /// chain layout, and the CSR coupler slots serve every symbol
     /// vector of the interval.
+    ///
+    /// Fails with [`DecodeError::InvalidInput`] (inside
+    /// [`PrecodeError::Decode`]) when `H` holds a non-finite entry.
     fn compile(&self, input: &PrecodeInput) -> Result<VppSession, PrecodeError> {
+        check_matrix("channel H", &input.h)?;
         let model = VppModel::new(&input.h, input.modulation, self.magnitude_bits)?;
         let (logical, _) = qubo_to_ising(&model.quad);
-        let embedding = CliqueEmbedding::new(&self.graph, logical.num_spins())?;
-        let embedded =
-            EmbeddedProblem::compile(&self.graph, &embedding, &logical, self.config.embed);
-        let base = CompiledProblem::new(embedded.problem());
-        let chains = CompiledChains::compile(&base, embedded.chains());
-        let slots: Vec<(u32, u32, u32)> = embedded
-            .programmed_couplers()
-            .iter()
-            .map(|&(i, j, da, db)| {
-                let k = base
-                    .coupler_entry(da as usize, db as usize)
-                    .expect("programmed coupler exists in CSR");
-                (k as u32, i, j)
-            })
-            .collect();
-        let mut chain_of = vec![0u32; embedded.num_physical()];
-        for (i, chain) in embedded.chains().iter().enumerate() {
-            for &d in chain {
-                chain_of[d] = i as u32;
-            }
-        }
-        let chain_len = embedded.chains().first().map_or(1, Vec::len) as f64;
-        let scratch = base.clone();
+        let core = IsingSession::compile(
+            &self.graph,
+            &logical,
+            self.config.embed,
+            self.annealer.clone(),
+            self.config.schedule,
+            Telemetry::disabled(),
+        )?;
         Ok(VppSession {
-            inner: VppInner {
-                annealer: self.annealer.clone(),
-                config: self.config,
-                anneals: self.anneals,
-                model,
-                parallel_factor: parallelization(embedding.num_logical()).max(1),
-                embedded,
-                base,
-                chains,
-                slots,
-                chain_of,
-                chain_len,
-            },
-            scratch,
+            core,
+            anneals: self.anneals,
+            model,
         })
     }
 }
 
-/// A compiled VPP session: the `H`-dependent work (realified QUBO
-/// structure, Chimera embedding, CSR freeze, chain tables) done once,
-/// with per-`u` precodes reduced to an in-place linear-field/scale
-/// refresh plus the anneal batch itself — the downlink twin of
-/// `DecodeSession`, including the `v = 0` floor: the session never
-/// returns a perturbation that costs more transmit power than plain
-/// ZF on the same symbols.
+/// A compiled VPP session: the perturbation-QUBO front-end over the
+/// same compiled Ising session as the uplink `DecodeSession`. The
+/// `H`-dependent work (realified QUBO structure, embedding, CSR freeze,
+/// chain tables) is done once; a per-`u` precode rebuilds the small
+/// logical problem, refreshes fields and scale in place, and runs the
+/// anneal batch. The session applies a `v = 0` floor: it never returns
+/// a perturbation that costs more transmit power than plain ZF on the
+/// same symbols.
 pub struct VppSession {
-    inner: VppInner,
-    scratch: CompiledProblem,
-}
-
-struct VppInner {
-    annealer: Annealer,
-    config: DecoderConfig,
+    core: IsingSession,
     anneals: usize,
     model: VppModel,
-    parallel_factor: usize,
-    /// Chain layout + programming map (coefficients inside are stale
-    /// after compile; only structure is read).
-    embedded: EmbeddedProblem,
-    /// The frozen CSR template: chain couplers valid for the whole
-    /// session, fields/problem couplers refreshed per precode.
-    base: CompiledProblem,
-    chains: CompiledChains,
-    /// `(CSR entry, logical i, logical j)` per programmed coupler.
-    slots: Vec<(u32, u32, u32)>,
-    /// Dense physical qubit → owning logical chain.
-    chain_of: Vec<u32>,
-    chain_len: f64,
 }
 
-/// How one precode run anneals: from scratch, or backwards from a
-/// classical candidate perturbation (e.g. THP's greedy `v`).
-#[derive(Clone, Copy)]
-enum PrecodeMode<'a> {
-    Forward,
-    Reverse {
-        candidate: &'a CVector,
-        schedule: &'a Schedule,
-    },
-}
+impl VppSession {
+    /// Modulation the session was compiled for.
+    pub fn modulation(&self) -> Modulation {
+        self.model.modulation()
+    }
 
-impl VppInner {
-    /// Rebuilds the (small) logical problem for `u` and writes the
-    /// programmed coefficients into `scratch`; returns the logical
-    /// problem and the total additive offset linking logical Ising
-    /// energies to transmit power:
-    /// `E_ising + offset = ‖P(u + τv)‖²`.
-    fn program(&self, u: &CVector, scratch: &mut CompiledProblem) -> (IsingProblem, f64) {
+    /// User streams per precode.
+    pub fn num_users(&self) -> usize {
+        self.model.num_users()
+    }
+
+    /// The modulo base receivers fold with.
+    pub fn tau(&self) -> f64 {
+        self.model.tau()
+    }
+
+    /// Logical Ising variables per precode (`2·Nu·(t+1)`).
+    pub fn num_logical(&self) -> usize {
+        self.core.num_logical()
+    }
+
+    /// Physical qubits occupied by the compiled embedding.
+    pub fn num_physical(&self) -> usize {
+        self.core.num_physical()
+    }
+
+    /// Geometric chip parallelization factor of this problem size.
+    pub fn parallel_factor(&self) -> usize {
+        self.core.parallel_factor()
+    }
+
+    /// Problems one anneal wave precodes side by side (same contract
+    /// as `DecodeSession::batch_capacity`: same `H`, per-tile fields).
+    pub fn batch_capacity(&self) -> usize {
+        self.core.parallel_factor()
+    }
+
+    /// Projected on-chip anneal time, µs, of precoding `batch`
+    /// same-channel symbol vectors through this session.
+    pub fn projected_batch_us(&self, batch: usize) -> f64 {
+        self.core.projected_batch_us(batch, self.anneals)
+    }
+
+    /// The underlying channel model (QUBO construction, direct
+    /// energies, encode/decode helpers).
+    pub fn model(&self) -> &VppModel {
+        &self.model
+    }
+
+    /// The logical problem of `u` and the total additive offset linking
+    /// logical Ising energies to transmit power,
+    /// `E_ising + offset = ‖P(u + τv)‖²`, after checking `u`.
+    fn logical_for(&self, u: &CVector) -> Result<(IsingProblem, f64), DecodeError> {
+        check_vector("symbol vector u", u, self.num_users())?;
         let (qubo, power_offset) = self.model.qubo_for(u);
         let (logical, conversion_offset) = qubo_to_ising(&qubo);
-        let scale = self.embedded.scale_for(&logical);
-        for (d, &c) in self.chain_of.iter().enumerate() {
-            scratch.set_linear_term(d, logical.linear(c as usize) * scale / self.chain_len);
-        }
-        for &(k, i, j) in &self.slots {
-            scratch.set_entry_weight(k as usize, logical.coupling(i as usize, j as usize) * scale);
-        }
-        (logical, conversion_offset + power_offset)
+        Ok((logical, conversion_offset + power_offset))
     }
 
-    fn run_with<R: Rng + ?Sized>(
-        &self,
-        scratch: &mut CompiledProblem,
-        annealer: &Annealer,
-        u: &CVector,
-        mode: PrecodeMode<'_>,
-        rng: &mut R,
-    ) -> Precoding {
-        let schedule = match mode {
-            PrecodeMode::Reverse { schedule, .. } => *schedule,
-            PrecodeMode::Forward => self.config.schedule,
-        };
-        let (logical, offset) = self.program(u, scratch);
-        let seed: u64 = rng.random();
-        let samples = match mode {
-            PrecodeMode::Forward => {
-                annealer.run_compiled(scratch, &self.chains, &schedule, self.anneals, seed)
-            }
-            PrecodeMode::Reverse { candidate, .. } => {
-                let logical_spins = bits_to_spins(&self.model.encode_perturbation(candidate));
-                let mut physical = vec![0i8; self.embedded.num_physical()];
-                for (i, chain) in self.embedded.chains().iter().enumerate() {
-                    for &d in chain {
-                        physical[d] = logical_spins[i];
-                    }
-                }
-                annealer.run_reverse_compiled(
-                    scratch,
-                    &self.chains,
-                    &physical,
-                    &schedule,
-                    self.anneals,
-                    seed,
-                )
-            }
-        };
-
-        self.finish(u, logical, offset, &samples, rng)
-    }
-
-    /// The post-anneal half of a precode: per-sample majority-vote
-    /// unembedding (tie-breaks drawn from `rng`, positioned right after
-    /// the anneal-seed draw), distribution ranking, and the `v = 0`
-    /// power floor.
-    fn finish<R: Rng + ?Sized>(
-        &self,
-        u: &CVector,
-        logical: IsingProblem,
-        offset: f64,
-        samples: &[Vec<quamax_ising::Spin>],
-        rng: &mut R,
-    ) -> Precoding {
-        let mut logical_samples = Vec::with_capacity(samples.len());
-        let mut broken = 0usize;
-        for s in samples {
-            let out = unembed_majority_vote(&self.embedded, s, rng);
-            broken += out.broken_chains;
-            logical_samples.push(out.logical);
-        }
-        let distribution = SolutionDistribution::from_samples(&logical, &logical_samples);
-        let total_chains = logical.num_spins().max(1) * samples.len().max(1);
-        let chain_break_fraction = broken as f64 / total_chains as f64;
-
-        // Best annealed perturbation (logical energy and transmit
-        // power rank identically — they differ by the constant
-        // `offset`), guarded by the v = 0 floor.
-        let annealed = distribution.best_solution().map(|entry| {
+    /// The best annealed perturbation, guarded by the `v = 0` floor.
+    fn precoding(&self, u: &CVector, annealed: Annealed, offset: f64) -> Precoding {
+        // Logical energy and transmit power rank identically — they
+        // differ by the constant `offset`.
+        let best = annealed.distribution.best_solution().map(|entry| {
             let v = self.model.decode_perturbation(&spins_to_bits(&entry.spins));
             let power = self.model.direct_energy(u, &v);
             debug_assert!(
@@ -779,92 +705,55 @@ impl VppInner {
         });
         let zero = CVector::zeros(self.model.num_users());
         let zero_power = self.model.direct_energy(u, &zero);
-        let (v, power, zero_floor) = match annealed {
+        let (v, power, zero_floor) = match best {
             Some((v, power)) if power < zero_power => (v, power, false),
             _ => (zero, zero_power, true),
         };
-        let x = self.model.transmit(u, &v);
         Precoding {
-            x,
+            x: self.model.transmit(u, &v),
             perturbation: v,
             power,
             stats: PrecodeStats::Annealed {
-                chain_break_fraction,
-                num_distinct: distribution.num_distinct(),
+                chain_break_fraction: annealed.chain_break_fraction,
+                num_distinct: annealed.distribution.num_distinct(),
                 zero_floor,
             },
         }
     }
-}
 
-impl VppSession {
-    /// Modulation the session was compiled for.
-    pub fn modulation(&self) -> Modulation {
-        self.inner.model.modulation()
-    }
-
-    /// User streams per precode.
-    pub fn num_users(&self) -> usize {
-        self.inner.model.num_users()
-    }
-
-    /// The modulo base receivers fold with.
-    pub fn tau(&self) -> f64 {
-        self.inner.model.tau()
-    }
-
-    /// Logical Ising variables per precode (`2·Nu·(t+1)`).
-    pub fn num_logical(&self) -> usize {
-        self.inner.embedded.chains().len()
-    }
-
-    /// Physical qubits occupied by the compiled embedding.
-    pub fn num_physical(&self) -> usize {
-        self.inner.embedded.num_physical()
-    }
-
-    /// Geometric chip parallelization factor of this problem size.
-    pub fn parallel_factor(&self) -> usize {
-        self.inner.parallel_factor
-    }
-
-    /// Problems one anneal wave precodes side by side (same contract
-    /// as `DecodeSession::batch_capacity`: same `H`, per-tile fields).
-    pub fn batch_capacity(&self) -> usize {
-        self.inner.parallel_factor
-    }
-
-    /// Projected on-chip anneal time, µs, of precoding `batch`
-    /// same-channel symbol vectors through this session.
-    pub fn projected_batch_us(&self, batch: usize) -> f64 {
-        let waves = batch.div_ceil(self.batch_capacity()) as f64;
-        waves * self.inner.anneals as f64 * self.inner.config.schedule.total_time_us()
-    }
-
-    /// The underlying channel model (QUBO construction, direct
-    /// energies, encode/decode helpers).
-    pub fn model(&self) -> &VppModel {
-        &self.inner.model
+    /// The single-vector precode behind every entry point: forward
+    /// under the compiled schedule, or backwards from `reverse`'s
+    /// candidate perturbation under its schedule.
+    fn run(
+        &mut self,
+        u: &CVector,
+        reverse: Option<(&CVector, Schedule)>,
+        seed: u64,
+    ) -> Result<Precoding, DecodeError> {
+        let (logical, offset) = self.logical_for(u)?;
+        let candidate = reverse.map(|(v, _)| bits_to_spins(&self.model.encode_perturbation(v)));
+        let schedule = reverse.map_or(self.core.schedule(), |(_, s)| s);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let annealed = self.core.run_one(
+            &logical,
+            candidate.as_deref(),
+            schedule,
+            self.anneals,
+            &mut rng,
+        );
+        Ok(self.precoding(u, annealed, offset))
     }
 
     /// Precodes one symbol vector with a fixed seed — the streaming
     /// entry point (`seed` covers both the anneal batch and the
     /// unembedding tie-breaks).
+    ///
+    /// # Panics
+    /// Panics when `u` has a non-finite entry or its length differs
+    /// from the user count ([`PrecoderSession::precode`] returns
+    /// [`DecodeError::InvalidInput`] instead).
     pub fn precode(&mut self, u: &CVector, seed: u64) -> Precoding {
-        let mut rng = StdRng::seed_from_u64(seed);
-        self.precode_with_rng(u, &mut rng)
-    }
-
-    /// Precodes one symbol vector drawing the anneal seed and the
-    /// unembedding tie-breaks from `rng`.
-    pub fn precode_with_rng<R: Rng + ?Sized>(&mut self, u: &CVector, rng: &mut R) -> Precoding {
-        self.inner.run_with(
-            &mut self.scratch,
-            &self.inner.annealer,
-            u,
-            PrecodeMode::Forward,
-            rng,
-        )
+        expect_valid(self.run(u, None, seed))
     }
 
     /// Reverse-anneal precode from a classical candidate perturbation
@@ -877,7 +766,7 @@ impl VppSession {
     ///
     /// # Panics
     /// Panics when the candidate length differs from the user count,
-    /// or `schedule` is not reverse.
+    /// `schedule` is not reverse, or `u` is malformed.
     pub fn precode_reverse_from(
         &mut self,
         u: &CVector,
@@ -885,26 +774,7 @@ impl VppSession {
         schedule: &Schedule,
         seed: u64,
     ) -> Precoding {
-        assert!(
-            schedule.is_reverse(),
-            "precode_reverse_from needs a Schedule::reverse schedule"
-        );
-        assert_eq!(
-            candidate.len(),
-            self.num_users(),
-            "candidate perturbation length mismatch"
-        );
-        let mut rng = StdRng::seed_from_u64(seed);
-        self.inner.run_with(
-            &mut self.scratch,
-            &self.inner.annealer,
-            u,
-            PrecodeMode::Reverse {
-                candidate,
-                schedule,
-            },
-            &mut rng,
-        )
+        expect_valid(self.run(u, Some((candidate, *schedule)), seed))
     }
 
     /// Precodes a batch of `(u, seed)` pairs — one coherence
@@ -915,47 +785,27 @@ impl VppSession {
     /// threads shard the flattened batch. Results are bit-identical to
     /// calling [`VppSession::precode`] item by item, regardless of
     /// batch width or worker count (same per-item seeded RNG streams).
+    ///
+    /// # Panics
+    /// Panics, before any anneal, when any item's `u` is malformed.
     pub fn precode_batch(&self, items: &[(CVector, u64)]) -> Vec<Precoding> {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let inner = &self.inner;
-        let mut programmed = Vec::with_capacity(items.len());
-        for (u, seed) in items {
-            let mut scratch = inner.base.clone();
-            let mut rng = StdRng::seed_from_u64(*seed);
-            let (logical, offset) = inner.program(u, &mut scratch);
-            let anneal_seed: u64 = rng.random();
-            programmed.push((scratch, logical, offset, anneal_seed, rng));
-        }
-        let schedule = inner.config.schedule;
-        let jobs: Vec<AnnealJob> = programmed
+        let (logicals, offsets): (Vec<IsingProblem>, Vec<f64>) = items
             .iter()
-            .map(|(scratch, _, _, anneal_seed, _)| AnnealJob {
-                problem: scratch,
-                init: None,
-                num_anneals: inner.anneals,
-                seed: *anneal_seed,
-            })
-            .collect();
-        let sample_sets = inner
-            .annealer
-            .run_jobs(&inner.base, &inner.chains, &schedule, &jobs);
-        drop(jobs);
-        items
-            .iter()
-            .zip(programmed)
-            .zip(sample_sets)
-            .map(|(((u, _), (_, logical, offset, _, mut rng)), samples)| {
-                inner.finish(u, logical, offset, &samples, &mut rng)
-            })
+            .map(|(u, _)| expect_valid(self.logical_for(u)))
+            .unzip();
+        let seeds = items.iter().map(|&(_, seed)| seed);
+        self.core
+            .run_batch(&logicals, seeds, self.anneals)
+            .into_iter()
+            .zip(items.iter().zip(offsets))
+            .map(|(annealed, ((u, _), offset))| self.precoding(u, annealed, offset))
             .collect()
     }
 }
 
 impl PrecoderSession for VppSession {
     fn precode(&mut self, u: &CVector, seed: u64) -> Result<Precoding, PrecodeError> {
-        Ok(VppSession::precode(self, u, seed))
+        Ok(self.run(u, None, seed)?)
     }
     fn modulation(&self) -> Modulation {
         VppSession::modulation(self)
@@ -1176,6 +1026,14 @@ impl Precoder for HybridPrecoder {
 }
 
 impl HybridPrecodeSession {
+    /// A compiled side to report the session's shape from.
+    fn either(&self) -> &dyn PrecoderSession {
+        self.fallback
+            .as_deref()
+            .or(self.primary.as_deref())
+            .expect("compile keeps at least one side")
+    }
+
     fn wrap(precoding: Precoding, route: Route, primary_power: f64) -> Precoding {
         Precoding {
             x: precoding.x,
@@ -1222,25 +1080,13 @@ impl PrecoderSession for HybridPrecodeSession {
         }
     }
     fn modulation(&self) -> Modulation {
-        self.fallback
-            .as_ref()
-            .or(self.primary.as_ref())
-            .expect("compile keeps at least one side")
-            .modulation()
+        self.either().modulation()
     }
     fn num_users(&self) -> usize {
-        self.fallback
-            .as_ref()
-            .or(self.primary.as_ref())
-            .expect("compile keeps at least one side")
-            .num_users()
+        self.either().num_users()
     }
     fn tau(&self) -> f64 {
-        self.fallback
-            .as_ref()
-            .or(self.primary.as_ref())
-            .expect("compile keeps at least one side")
-            .tau()
+        self.either().tau()
     }
     fn backend_name(&self) -> &'static str {
         "hybrid"
@@ -1361,6 +1207,7 @@ mod tests {
     use super::*;
     use quamax_anneal::{AnnealerConfig, IceModel};
     use quamax_wireless::rayleigh_channel;
+    use rand::Rng;
 
     fn quiet_annealer() -> Annealer {
         Annealer::new(AnnealerConfig {
@@ -1746,5 +1593,74 @@ mod tests {
         assert_eq!(mod_tau(-9.0, 4.0), -1.0);
         assert_eq!(tau_for(Modulation::Qpsk), 4.0);
         assert_eq!(tau_for(Modulation::Qam16), 8.0);
+    }
+
+    fn nan() -> Complex {
+        Complex::new(f64::NAN, 0.0)
+    }
+
+    #[test]
+    fn non_finite_channel_is_rejected_at_vpp_compile() {
+        let mut input = input(3, 4, Modulation::Qpsk, 17);
+        input.h[(2, 1)] = nan();
+        match VppPrecoder::new(quiet_annealer(), vpp_config(), 4, 1).compile(&input) {
+            Err(e @ PrecodeError::Decode(DecodeError::InvalidInput(_))) => {
+                assert_eq!(e.class(), ErrorClass::Permanent)
+            }
+            Err(other) => panic!("expected InvalidInput, got {other:?}"),
+            Ok(_) => panic!("expected InvalidInput, got a session"),
+        }
+    }
+
+    #[test]
+    fn vpp_trait_precode_returns_invalid_input_for_a_malformed_u() {
+        let input = input(3, 4, Modulation::Qpsk, 18);
+        let mut session = PrecoderKind::vpp(quiet_annealer(), vpp_config(), 4, 1)
+            .compile(&input)
+            .unwrap();
+        let mut rng = StdRng::seed_from_u64(180);
+        let (_, u) = random_symbols(&input, &mut rng);
+        let mut nan_u = u.clone();
+        nan_u[1] = nan();
+        for bad in [nan_u, CVector::zeros(2)] {
+            match session.precode(&bad, 1) {
+                Err(PrecodeError::Decode(DecodeError::InvalidInput(_))) => {}
+                other => panic!("expected InvalidInput, got {:?}", other.err()),
+            }
+        }
+        assert!(session.precode(&u, 1).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid input: symbol vector u has a non-finite entry")]
+    fn vpp_session_precode_panics_on_non_finite_u() {
+        let input = input(2, 3, Modulation::Qpsk, 19);
+        let mut vpp = VppPrecoder::new(quiet_annealer(), vpp_config(), 4, 1)
+            .compile(&input)
+            .unwrap();
+        let u = CVector::from_vec(vec![Complex::new(1.0, 1.0), nan()]);
+        let _ = VppSession::precode(&mut vpp, &u, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid input: symbol vector u has length 3, expected 2")]
+    fn vpp_batch_panics_on_a_mis_sized_item() {
+        let input = input(2, 3, Modulation::Qpsk, 20);
+        let vpp = VppPrecoder::new(quiet_annealer(), vpp_config(), 4, 1)
+            .compile(&input)
+            .unwrap();
+        let _ = vpp.precode_batch(&[(CVector::zeros(2), 1), (CVector::zeros(3), 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid input: symbol vector u has a non-finite entry")]
+    fn vpp_reverse_precode_panics_on_non_finite_u() {
+        let input = input(2, 3, Modulation::Qpsk, 21);
+        let mut vpp = VppPrecoder::new(quiet_annealer(), vpp_config(), 4, 1)
+            .compile(&input)
+            .unwrap();
+        let u = CVector::from_vec(vec![nan(), Complex::new(1.0, -1.0)]);
+        let reverse = Schedule::reverse(2.0, 0.6, 2.0);
+        let _ = vpp.precode_reverse_from(&u, &CVector::zeros(2), &reverse, 1);
     }
 }

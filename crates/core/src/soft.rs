@@ -67,6 +67,8 @@ use quamax_baselines::{
 };
 use quamax_linalg::{CMatrix, CVector, Complex, LinalgError};
 use quamax_wireless::{Modulation, Snr};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Default LLR magnitude clamp: generous enough that a soft Viterbi
 /// pass still distinguishes reliabilities below it, small enough that
@@ -808,10 +810,12 @@ impl SoftDetectorSession for SoftQuamaxSession {
         // becomes the reverse-anneal warm start.
         let candidate: Vec<u8> = priors.iter().map(|&l| u8::from(l > 0.0)).collect();
         let anneals = self.inner.anneals;
-        let run =
-            self.inner
-                .session
-                .decode_reverse_from(y, anneals, &candidate, &self.reverse, seed);
+        let reverse = (candidate.as_slice(), self.reverse);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let run = self
+            .inner
+            .session
+            .run(y, anneals, Some(reverse), &mut rng)?;
         let mut pool = quamax_pool(&run);
         // The warm-start candidate is itself a priced hypothesis: the
         // refinement ensemble explores *around* it and may never
@@ -1551,5 +1555,39 @@ mod tests {
             assert!(soft.llrs.iter().all(|l| l.is_finite()));
             assert_eq!(soft.bits, inst.tx_bits());
         }
+    }
+
+    #[test]
+    fn quamax_soft_detect_returns_invalid_input_for_a_malformed_y() {
+        let mut rng = StdRng::seed_from_u64(50);
+        let input = Scenario::new(3, 3, Modulation::Qpsk)
+            .sample(&mut rng)
+            .detection_input();
+        let kind = DetectorKind::quamax(quiet_annealer(), DecoderConfig::default(), 4);
+        let mut session = kind.compile_soft(&input, SoftSpec::new(0.1)).unwrap();
+        let mut y = input.y.clone();
+        y[2] = quamax_linalg::Complex::new(0.0, f64::NAN);
+        let is_invalid = |r: Result<SoftDetection, DetectError>| {
+            matches!(
+                r,
+                Err(DetectError::Decode(
+                    crate::decoder::DecodeError::InvalidInput(_)
+                ))
+            )
+        };
+        assert!(is_invalid(session.detect_soft(&y, 1)));
+        let zero = vec![0.0; session.num_bits()];
+        assert!(is_invalid(session.detect_soft_with_priors(&y, &zero, 1)));
+        // Informative priors take the reverse-anneal warm-start path.
+        let priors = vec![2.0; session.num_bits()];
+        assert!(is_invalid(session.detect_soft_with_priors(&y, &priors, 1)));
+        assert!(is_invalid(session.detect_soft_with_priors(
+            &CVector::zeros(4),
+            &priors,
+            1
+        )));
+        assert!(session
+            .detect_soft_with_priors(&input.y, &priors, 1)
+            .is_ok());
     }
 }
