@@ -158,6 +158,12 @@ impl CompiledSphere {
         self.decoder.modulation
     }
 
+    /// Receive antennas of the compiled channel (the length `decode`
+    /// expects of `y`).
+    pub fn num_receive_antennas(&self) -> usize {
+        self.nr
+    }
+
     /// Decodes one received vector over the compiled channel.
     ///
     /// # Panics

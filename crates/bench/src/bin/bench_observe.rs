@@ -15,7 +15,10 @@
 //! 2. **within noise** — the telemetry-on wall-clock time (min over
 //!    several repetitions, the standard noise floor estimator) stays
 //!    within a generous multiple of telemetry-off, i.e. the registry
-//!    never becomes the bottleneck of a simulated run.
+//!    never becomes the bottleneck of a simulated run. Each repetition
+//!    serves the horizon as many times as it takes to last at least
+//!    [`MIN_REP_S`], so a short horizon measures the registry, not the
+//!    timer.
 //!
 //! The JSON then reports what the instrumentation is *for*: the
 //! per-stage QPU pipeline breakdown (programming, anneal, readout,
@@ -34,6 +37,9 @@ const CELLS: usize = 4;
 const MAX_BATCH: usize = 24;
 const RATE_TOTAL: f64 = 0.012; // jobs/µs across all cells
 const REPS: usize = 5; // min-of-k wall-clock repetitions
+/// Shortest wall-clock repetition: a short horizon is served repeatedly
+/// within a repetition until it lasts this long.
+const MIN_REP_S: f64 = 0.02;
 /// Telemetry-on may cost at most this multiple of telemetry-off
 /// wall-clock (generous: the simulated pipeline is µs-granular, so
 /// even a 2× registry overhead would vanish in deployment, but a 10×
@@ -73,24 +79,42 @@ fn run_once(seed: u64, horizon_us: f64, telemetry: Telemetry) -> ScheduleReport 
     report
 }
 
-/// Min-of-`REPS` wall-clock seconds for one full run. Wall time lives
-/// only in this harness — the telemetry crate itself never reads a
-/// clock.
-fn min_wall_seconds(seed: u64, horizon_us: f64, enabled: bool) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..REPS {
+/// Wall-clock seconds of `runs` back-to-back runs. Wall time lives only
+/// in this harness — the telemetry crate itself never reads a clock.
+fn wall_seconds(seed: u64, horizon_us: f64, enabled: bool, runs: usize) -> f64 {
+    let start = std::time::Instant::now();
+    for _ in 0..runs {
         let telemetry = if enabled {
             Telemetry::enabled()
         } else {
             Telemetry::disabled()
         };
-        let start = std::time::Instant::now();
         let report = run_once(seed, horizon_us, telemetry);
-        let dt = start.elapsed().as_secs_f64();
         assert!(!report.outcomes.is_empty(), "the metro run served jobs");
-        best = best.min(dt);
     }
-    best
+    start.elapsed().as_secs_f64()
+}
+
+/// Runs per repetition: doubled until a telemetry-off repetition lasts
+/// at least [`MIN_REP_S`].
+fn runs_per_rep(seed: u64, horizon_us: f64) -> usize {
+    let mut runs = 1;
+    while wall_seconds(seed, horizon_us, false, runs) < MIN_REP_S {
+        runs *= 2;
+    }
+    runs
+}
+
+/// Min-of-`REPS` wall-clock seconds per run, telemetry off and on, with
+/// the two sides' repetitions interleaved so a drifting host load hits
+/// both alike.
+fn min_wall_seconds(seed: u64, horizon_us: f64, runs: usize) -> (f64, f64) {
+    let (mut off, mut on) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..REPS {
+        off = off.min(wall_seconds(seed, horizon_us, false, runs) / runs as f64);
+        on = on.min(wall_seconds(seed, horizon_us, true, runs) / runs as f64);
+    }
+    (off, on)
 }
 
 fn main() {
@@ -111,8 +135,8 @@ fn main() {
     );
 
     // Claim 2: within noise on wall clock.
-    let wall_off = min_wall_seconds(seed, horizon_us, false);
-    let wall_on = min_wall_seconds(seed, horizon_us, true);
+    let runs = runs_per_rep(seed, horizon_us);
+    let (wall_off, wall_on) = min_wall_seconds(seed, horizon_us, runs);
     assert!(
         wall_on <= wall_off * NOISE_FACTOR,
         "telemetry-on wall clock ({wall_on:.4}s) exceeded {NOISE_FACTOR}x telemetry-off \
@@ -195,6 +219,8 @@ fn main() {
     });
     let wall = serde_json::json!({
         "reps": REPS,
+        "runs_per_rep": runs,
+        "min_rep_s": MIN_REP_S,
         "noise_factor": NOISE_FACTOR,
         "off_min_s": wall_off,
         "on_min_s": wall_on,
@@ -214,7 +240,8 @@ fn main() {
     )
     .expect("write BENCH_observe.json");
     println!(
-        "\nwall clock: off {wall_off:.4}s, on {wall_on:.4}s ({:.2}x, limit {NOISE_FACTOR}x)",
+        "\nwall clock per run ({runs} runs per rep): off {wall_off:.6}s, on {wall_on:.6}s \
+         ({:.2}x, limit {NOISE_FACTOR}x)",
         wall_on / wall_off
     );
     println!("wrote BENCH_observe.json");

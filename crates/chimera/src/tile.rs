@@ -14,6 +14,7 @@
 use crate::embed::CliqueEmbedding;
 use crate::graph::ChimeraGraph;
 use crate::CELL_SIDE;
+use std::sync::OnceLock;
 
 /// Greedily places as many disjoint `n`-variable triangle embeddings as
 /// fit on `graph`, returning them all.
@@ -57,10 +58,32 @@ pub fn tile_embeddings(graph: &ChimeraGraph, n: usize) -> Vec<CliqueEmbedding> {
     out
 }
 
+/// Largest problem that fits on the DW2Q chip at all (one 16×16-cell
+/// triangle); larger problems tile zero times.
+const MAX_TILED_VARS: usize = CELL_SIDE * crate::DW2Q_GRID;
+
+/// Per-`n` memo of [`parallelization`], filled on first use of each `n`.
+static PARALLELIZATION: [OnceLock<usize>; MAX_TILED_VARS] =
+    [const { OnceLock::new() }; MAX_TILED_VARS];
+
 /// The geometric parallelization factor on an ideal DW2Q chip: how many
 /// disjoint copies of an `n`-variable problem fit.
+///
+/// The factor is a constant of the chip and `n`, so it is computed once
+/// per process and per `n` (the first call for an `n` builds the
+/// 2048-qubit graph and runs the greedy tiling; later calls are a table
+/// read). It covers the ideal chip only: for a graph with defects, call
+/// [`tile_embeddings`] on that graph. Problems larger than the chip
+/// (`n > 64`) fit zero times.
+///
+/// # Panics
+/// Panics when `n` is zero.
 pub fn parallelization(n: usize) -> usize {
-    tile_embeddings(&ChimeraGraph::dw2q_ideal(), n).len()
+    assert!(n > 0, "cannot tile an empty problem");
+    match PARALLELIZATION.get(n - 1) {
+        Some(slot) => *slot.get_or_init(|| tile_embeddings(&ChimeraGraph::dw2q_ideal(), n).len()),
+        None => 0,
+    }
 }
 
 /// The paper's asymptotic estimate `P_f ≃ N_tot/(N(⌈N/4⌉+1))`
@@ -110,6 +133,22 @@ mod tests {
     #[test]
     fn oversized_problem_fits_zero_times() {
         assert_eq!(parallelization(65), 0);
+    }
+
+    #[test]
+    fn memoized_factor_matches_a_fresh_tiling() {
+        let g = ChimeraGraph::dw2q_ideal();
+        for n in 1..=MAX_TILED_VARS + 1 {
+            let fresh = tile_embeddings(&g, n).len();
+            assert_eq!(parallelization(n), fresh, "n={n}: first call");
+            assert_eq!(parallelization(n), fresh, "n={n}: repeated call");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot tile an empty problem")]
+    fn zero_variables_panic() {
+        parallelization(0);
     }
 
     #[test]

@@ -32,6 +32,7 @@
 
 use crate::decoder::{DecodeError, DecodeRun, DecoderConfig, QuamaxDecoder};
 use crate::scenario::DetectionInput;
+use crate::session::{check_matrix, check_vector};
 use quamax_anneal::Annealer;
 use quamax_baselines::{
     exhaustive_ml, CompiledSphere, MmseDetector, MmseFilter, SphereDecoder, SphereError,
@@ -222,7 +223,9 @@ pub trait Detector {
 
     /// Compiles the `H`-only work for one coherence interval.
     /// `input.y` shapes the compile only (any received vector of the
-    /// interval works).
+    /// interval works). Every backend fails with
+    /// [`DecodeError::InvalidInput`] (inside [`DetectError::Decode`])
+    /// when `H` holds a non-finite entry.
     fn compile(&self, input: &DetectionInput) -> Result<Self::Session, DetectError>;
 }
 
@@ -231,7 +234,10 @@ pub trait Detector {
 /// `(H, y, seed)` always reproduces the same [`Detection`];
 /// deterministic backends ignore it.
 pub trait DetectorSession {
-    /// Detects one received vector through the compiled state.
+    /// Detects one received vector through the compiled state. Every
+    /// backend fails with [`DecodeError::InvalidInput`] (inside
+    /// [`DetectError::Decode`]) when `y` holds a non-finite entry or
+    /// does not match the channel's receive antennas.
     fn detect(&mut self, y: &CVector, seed: u64) -> Result<Detection, DetectError>;
 
     /// Modulation the session was compiled for.
@@ -257,6 +263,19 @@ impl<S: DetectorSession + ?Sized> DetectorSession for Box<S> {
     fn backend_name(&self) -> &'static str {
         (**self).backend_name()
     }
+}
+
+/// Rejects a channel with a NaN or infinite entry: the classical
+/// backends' compile-time input check.
+pub(crate) fn check_channel(h: &CMatrix) -> Result<(), DetectError> {
+    Ok(check_matrix("channel H", h)?)
+}
+
+/// Rejects a received vector that is not finite or does not match the
+/// channel's `receive_antennas`: the classical backends' per-vector
+/// input check.
+pub(crate) fn check_received(y: &CVector, receive_antennas: usize) -> Result<(), DetectError> {
+    Ok(check_vector("received vector y", y, receive_antennas)?)
 }
 
 /// `‖y − H·map(bits)‖²` — the ML objective every backend's answer is
@@ -344,6 +363,7 @@ impl Detector for ZeroForcingDetector {
     type Session = ZfSession;
 
     fn compile(&self, input: &DetectionInput) -> Result<ZfSession, DetectError> {
+        check_channel(&input.h)?;
         Ok(LinearSession {
             filter: self.compile(&input.h)?,
             h: input.h.clone(),
@@ -355,6 +375,7 @@ impl Detector for MmseDetector {
     type Session = MmseSession;
 
     fn compile(&self, input: &DetectionInput) -> Result<MmseSession, DetectError> {
+        check_channel(&input.h)?;
         Ok(LinearSession {
             filter: self.compile(&input.h)?,
             h: input.h.clone(),
@@ -364,6 +385,7 @@ impl Detector for MmseDetector {
 
 impl<F: LinearFilter> DetectorSession for LinearSession<F> {
     fn detect(&mut self, y: &CVector, _seed: u64) -> Result<Detection, DetectError> {
+        check_received(y, self.h.rows())?;
         let bits = self.filter.decode(y);
         let metric = ml_objective(&self.h, y, &bits, self.filter.modulation());
         Ok(Detection {
@@ -394,6 +416,7 @@ impl Detector for SphereDecoder {
     type Session = SphereSession;
 
     fn compile(&self, input: &DetectionInput) -> Result<SphereSession, DetectError> {
+        check_channel(&input.h)?;
         // The inherent compile asserts Nr >= Nt; the trait contract is
         // an Err, not a process abort (an overloaded uplink is a
         // routable condition, not a bug).
@@ -408,6 +431,7 @@ impl Detector for SphereDecoder {
 
 impl DetectorSession for SphereSession {
     fn detect(&mut self, y: &CVector, _seed: u64) -> Result<Detection, DetectError> {
+        check_received(y, self.compiled.num_receive_antennas())?;
         let out = self.compiled.decode(y)?;
         Ok(Detection {
             bits: out.bits,
@@ -447,6 +471,7 @@ impl Detector for ExactMlDetector {
     type Session = ExactMlSession;
 
     fn compile(&self, input: &DetectionInput) -> Result<ExactMlSession, DetectError> {
+        check_channel(&input.h)?;
         Ok(ExactMlSession {
             h: input.h.clone(),
             modulation: input.modulation,
@@ -456,6 +481,7 @@ impl Detector for ExactMlDetector {
 
 impl DetectorSession for ExactMlSession {
     fn detect(&mut self, y: &CVector, _seed: u64) -> Result<Detection, DetectError> {
+        check_received(y, self.h.rows())?;
         let out = exhaustive_ml(&self.h, y, self.modulation);
         Ok(Detection {
             bits: out.bits,
@@ -1345,5 +1371,63 @@ mod tests {
                 other.err().map(|e| e.to_string())
             ),
         }
+    }
+
+    /// A classical backend returns `InvalidInput` for a non-finite
+    /// channel at hard and soft compile, and for a non-finite or
+    /// mis-sized `y` at every hard and soft detect entry point; a
+    /// well-formed `y` still detects through the same sessions.
+    fn assert_rejects_malformed_inputs(kind: DetectorKind) {
+        use crate::soft::{SoftDetectorSession, SoftSpec};
+        let invalid = |e: Option<DetectError>| match e {
+            Some(e @ DetectError::Decode(DecodeError::InvalidInput(_))) => {
+                assert_eq!(e.class(), ErrorClass::Permanent)
+            }
+            other => panic!("{}: expected InvalidInput, got {other:?}", kind.name()),
+        };
+        let mut rng = StdRng::seed_from_u64(43);
+        let input = Scenario::new(3, 3, Modulation::Qpsk)
+            .sample(&mut rng)
+            .detection_input();
+        let spec = SoftSpec::new(0.1);
+
+        let mut bad_h = input.clone();
+        bad_h.h[(1, 2)] = quamax_linalg::Complex::new(f64::NAN, 0.0);
+        invalid(kind.compile(&bad_h).err());
+        invalid(kind.compile_soft(&bad_h, spec).err());
+
+        let mut hard = kind.compile(&input).unwrap();
+        let mut soft = kind.compile_soft(&input, spec).unwrap();
+        let priors = vec![0.5; soft.num_bits()];
+        let mut nan_y = input.y.clone();
+        nan_y[0] = quamax_linalg::Complex::new(0.0, f64::INFINITY);
+        for y in [nan_y, CVector::zeros(2)] {
+            invalid(hard.detect(&y, 1).err());
+            invalid(soft.detect(&y, 1).err());
+            invalid(soft.detect_soft(&y, 1).err());
+            invalid(soft.detect_soft_with_priors(&y, &priors, 1).err());
+        }
+        assert!(hard.detect(&input.y, 1).is_ok());
+        assert!(soft.detect_soft_with_priors(&input.y, &priors, 1).is_ok());
+    }
+
+    #[test]
+    fn zf_rejects_malformed_inputs() {
+        assert_rejects_malformed_inputs(DetectorKind::zf());
+    }
+
+    #[test]
+    fn mmse_rejects_malformed_inputs() {
+        assert_rejects_malformed_inputs(DetectorKind::mmse(0.1));
+    }
+
+    #[test]
+    fn sphere_rejects_malformed_inputs() {
+        assert_rejects_malformed_inputs(DetectorKind::sphere());
+    }
+
+    #[test]
+    fn exact_ml_rejects_malformed_inputs() {
+        assert_rejects_malformed_inputs(DetectorKind::exact_ml());
     }
 }

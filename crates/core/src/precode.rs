@@ -225,7 +225,9 @@ pub trait Precoder {
     /// The compiled per-interval state.
     type Session: PrecoderSession;
 
-    /// Compiles the `H`-only work for one coherence interval.
+    /// Compiles the `H`-only work for one coherence interval. Every
+    /// backend fails with [`DecodeError::InvalidInput`] (inside
+    /// [`PrecodeError::Decode`]) when `H` holds a non-finite entry.
     fn compile(&self, input: &PrecodeInput) -> Result<Self::Session, PrecodeError>;
 }
 
@@ -235,6 +237,9 @@ pub trait Precoder {
 /// deterministic backends ignore it.
 pub trait PrecoderSession {
     /// Precodes one user-symbol vector through the compiled state.
+    /// Every backend fails with [`DecodeError::InvalidInput`] (inside
+    /// [`PrecodeError::Decode`]) when `u` holds a non-finite entry or
+    /// does not have one symbol per user.
     fn precode(&mut self, u: &CVector, seed: u64) -> Result<Precoding, PrecodeError>;
 
     /// Modulation the session was compiled for.
@@ -837,6 +842,7 @@ impl Precoder for ZfPrecoder {
     type Session = ZfPrecodeSession;
 
     fn compile(&self, input: &PrecodeInput) -> Result<ZfPrecodeSession, PrecodeError> {
+        check_matrix("channel H", &input.h)?;
         // Reuses the model's P so the zero-perturbation VPP transmit
         // is bit-identical to this baseline (property-tested).
         Ok(ZfPrecodeSession {
@@ -847,6 +853,7 @@ impl Precoder for ZfPrecoder {
 
 impl PrecoderSession for ZfPrecodeSession {
     fn precode(&mut self, u: &CVector, _seed: u64) -> Result<Precoding, PrecodeError> {
+        check_vector("symbol vector u", u, self.model.num_users())?;
         let zero = CVector::zeros(self.model.num_users());
         let x = self.model.transmit(u, &zero);
         let power = x.norm_sqr();
@@ -892,6 +899,7 @@ impl Precoder for ThpPrecoder {
     type Session = ThpPrecodeSession;
 
     fn compile(&self, input: &PrecodeInput) -> Result<ThpPrecodeSession, PrecodeError> {
+        check_matrix("channel H", &input.h)?;
         let model = VppModel::new(&input.h, input.modulation, 1)?;
         let upper = cholesky(&model.w)?.hermitian();
         Ok(ThpPrecodeSession { model, upper })
@@ -923,6 +931,7 @@ impl ThpPrecodeSession {
 
 impl PrecoderSession for ThpPrecodeSession {
     fn precode(&mut self, u: &CVector, _seed: u64) -> Result<Precoding, PrecodeError> {
+        check_vector("symbol vector u", u, self.model.num_users())?;
         let v = self.perturbation(u);
         let x = self.model.transmit(u, &v);
         let power = x.norm_sqr();
@@ -1662,5 +1671,41 @@ mod tests {
         let u = CVector::from_vec(vec![nan(), Complex::new(1.0, -1.0)]);
         let reverse = Schedule::reverse(2.0, 0.6, 2.0);
         let _ = vpp.precode_reverse_from(&u, &CVector::zeros(2), &reverse, 1);
+    }
+
+    /// A classical precoder returns `InvalidInput` for a non-finite
+    /// channel at compile and for a non-finite or mis-sized `u` at
+    /// precode; a well-formed `u` still precodes.
+    fn assert_rejects_malformed_inputs(kind: PrecoderKind) {
+        let invalid = |e: Option<PrecodeError>| match e {
+            Some(e @ PrecodeError::Decode(DecodeError::InvalidInput(_))) => {
+                assert_eq!(e.class(), ErrorClass::Permanent)
+            }
+            other => panic!("{}: expected InvalidInput, got {other:?}", kind.name()),
+        };
+        let good = input(3, 4, Modulation::Qpsk, 19);
+        let mut bad = good.clone();
+        bad.h[(0, 3)] = nan();
+        invalid(kind.compile(&bad).err());
+
+        let mut session = kind.compile(&good).unwrap();
+        let mut rng = StdRng::seed_from_u64(190);
+        let (_, u) = random_symbols(&good, &mut rng);
+        let mut nan_u = u.clone();
+        nan_u[2] = nan();
+        for u in [nan_u, CVector::zeros(2)] {
+            invalid(session.precode(&u, 1).err());
+        }
+        assert!(session.precode(&u, 1).is_ok());
+    }
+
+    #[test]
+    fn zf_precoder_rejects_malformed_inputs() {
+        assert_rejects_malformed_inputs(PrecoderKind::zf());
+    }
+
+    #[test]
+    fn thp_precoder_rejects_malformed_inputs() {
+        assert_rejects_malformed_inputs(PrecoderKind::thp());
     }
 }

@@ -58,8 +58,8 @@
 //! [`DecodeSession::decode_reverse_from`]: crate::decoder::DecodeSession::decode_reverse_from
 
 use crate::detect::{
-    ml_objective, BackendStats, DetectError, Detection, Detector, DetectorKind, DetectorSession,
-    LinearFilter, QuamaxDetector, QuamaxSession, Route, RoutePolicy,
+    check_channel, check_received, ml_objective, BackendStats, DetectError, Detection, Detector,
+    DetectorKind, DetectorSession, LinearFilter, QuamaxDetector, QuamaxSession, Route, RoutePolicy,
 };
 use crate::scenario::DetectionInput;
 use quamax_baselines::{
@@ -555,6 +555,7 @@ impl<F: LinearFilter> SoftLinearSession<F> {
 
 impl<F: LinearFilter> DetectorSession for SoftLinearSession<F> {
     fn detect(&mut self, y: &CVector, _seed: u64) -> Result<Detection, DetectError> {
+        check_received(y, self.h.rows())?;
         let bits = self.filter.decode(y);
         let metric = ml_objective(&self.h, y, &bits, self.filter.modulation());
         Ok(Detection {
@@ -578,6 +579,7 @@ impl<F: LinearFilter> SoftLinearSession<F> {
     /// The shared demap loop: `priors` empty = the ML path, sliced
     /// per-user/per-dimension otherwise.
     fn demap(&mut self, y: &CVector, priors: &[f64]) -> Result<SoftDetection, DetectError> {
+        check_received(y, self.h.rows())?;
         let m = self.filter.modulation();
         let q = m.bits_per_symbol();
         let per_dim = m.bits_per_dimension();
@@ -640,6 +642,7 @@ pub struct SoftSphereSession {
 
 impl DetectorSession for SoftSphereSession {
     fn detect(&mut self, y: &CVector, _seed: u64) -> Result<Detection, DetectError> {
+        check_received(y, self.compiled.num_receive_antennas())?;
         let out = self.compiled.decode(y)?;
         Ok(Detection {
             bits: out.bits,
@@ -662,6 +665,7 @@ impl DetectorSession for SoftSphereSession {
 
 impl SoftDetectorSession for SoftSphereSession {
     fn detect_soft(&mut self, y: &CVector, _seed: u64) -> Result<SoftDetection, DetectError> {
+        check_received(y, self.compiled.num_receive_antennas())?;
         let list = self.compiled.decode_list(y, self.spec.list_size)?;
         let pool: Vec<(Vec<u8>, f64)> = list
             .entries
@@ -695,6 +699,7 @@ impl SoftDetectorSession for SoftSphereSession {
         if uninformative(priors) {
             return self.detect_soft(y, seed);
         }
+        check_received(y, self.compiled.num_receive_antennas())?;
         let list = self.compiled.decode_list(y, self.spec.list_size)?;
         let mut pool: Vec<(Vec<u8>, f64)> = list
             .entries
@@ -858,6 +863,7 @@ pub struct SoftExactMlSession {
 
 impl DetectorSession for SoftExactMlSession {
     fn detect(&mut self, y: &CVector, _seed: u64) -> Result<Detection, DetectError> {
+        check_received(y, self.h.rows())?;
         let out = quamax_baselines::exhaustive_ml(&self.h, y, self.modulation);
         Ok(Detection {
             bits: out.bits,
@@ -904,6 +910,7 @@ impl SoftExactMlSession {
 
 impl SoftDetectorSession for SoftExactMlSession {
     fn detect_soft(&mut self, y: &CVector, _seed: u64) -> Result<SoftDetection, DetectError> {
+        check_received(y, self.h.rows())?;
         let pool = self.full_pool(y);
         let llrs = list_llrs(&pool, self.num_bits(), &self.spec);
         let (best_bits, best_metric) = pool
@@ -931,6 +938,7 @@ impl SoftDetectorSession for SoftExactMlSession {
         if uninformative(priors) {
             return self.detect_soft(y, seed);
         }
+        check_received(y, self.h.rows())?;
         let mut pool = self.full_pool(y);
         let (llrs, extrinsic, best) = demap_with_priors(&pool, priors, self.num_bits(), &self.spec);
         let (bits, objective) = pool.swap_remove(best);
@@ -1079,6 +1087,7 @@ impl DetectorKind {
         input: &DetectionInput,
         spec: SoftSpec,
     ) -> Result<Box<dyn SoftDetectorSession>, DetectError> {
+        check_channel(&input.h)?;
         Ok(match self {
             DetectorKind::ZeroForcing => {
                 let filter = ZeroForcingDetector::new(input.modulation).compile(&input.h)?;

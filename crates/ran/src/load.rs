@@ -336,6 +336,9 @@ impl LoadGen {
                 .total_cmp(&b.arrival_us)
                 .then(a.cell.cmp(&b.cell))
         });
+        // Traces are generated ahead and held for a whole run: drop the
+        // growth slack (up to half the buffer).
+        jobs.shrink_to_fit();
         jobs
     }
 

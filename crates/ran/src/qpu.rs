@@ -18,7 +18,7 @@
 use crate::fault::ServeError;
 use quamax_chimera::parallelization;
 use quamax_linalg::CMatrix;
-use quamax_telemetry::Telemetry;
+use quamax_telemetry::{CounterHandle, HistogramHandle, Telemetry};
 
 /// A stable 64-bit fingerprint of a channel estimate — the key a
 /// compiled decode session is cached under. Two frames whose estimated
@@ -65,6 +65,9 @@ pub enum JobDirection {
 }
 
 impl JobDirection {
+    /// Both directions, in declaration order.
+    pub(crate) const ALL: [JobDirection; 2] = [JobDirection::Uplink, JobDirection::Downlink];
+
     /// Folds this direction into a channel hash. Uplink is the
     /// identity — every pre-existing uplink-only key, cache entry, and
     /// bit-identity contract is unchanged — while downlink XORs a
@@ -218,6 +221,26 @@ impl SessionCache {
             .any(|&(k, h, at)| k == key && h == hash && now_us - at <= self.coherence_us)
     }
 
+    /// The first instant after `now_us` at which [`contains`] stops
+    /// reporting `(key, hash)`, or `None` when it is not fresh at
+    /// `now_us`.
+    ///
+    /// [`contains`]: SessionCache::contains
+    pub(crate) fn expires_us(&self, now_us: f64, key: usize, hash: u64) -> Option<f64> {
+        let ttl = self.coherence_us;
+        let &(_, _, at) = self
+            .entries
+            .iter()
+            .find(|&&(k, h, at)| k == key && h == hash && now_us - at <= ttl)?;
+        // `at + ttl` may round either way; step to the first instant
+        // the freshness test itself rejects.
+        let mut t = (at + ttl).max(now_us);
+        while t - at <= ttl {
+            t = t.next_up();
+        }
+        Some(t)
+    }
+
     /// The configured coherence time, µs.
     pub fn coherence_us(&self) -> f64 {
         self.coherence_us
@@ -320,6 +343,76 @@ pub struct StageBreakdown {
     pub unembed_us: f64,
 }
 
+/// One cell's per-enqueue series, resolved on the cell's first job.
+#[derive(Clone, Debug)]
+struct CellSeries {
+    queue_wait: HistogramHandle,
+    program: HistogramHandle,
+    anneal: HistogramHandle,
+    readout: HistogramHandle,
+    unembed: HistogramHandle,
+    jobs: CounterHandle,
+    programs_cold: CounterHandle,
+    programs_cached: CounterHandle,
+}
+
+impl CellSeries {
+    fn resolve(t: &Telemetry, key: usize) -> Self {
+        let cell = key.to_string();
+        let labels = [("cell", cell.as_str())];
+        let programs = |kind: &str| {
+            t.counter(
+                "quamax_qpu_programs_total",
+                &[("cell", &cell), ("kind", kind)],
+            )
+        };
+        CellSeries {
+            queue_wait: t.histogram("quamax_qpu_queue_wait_us", &labels),
+            program: t.histogram("quamax_qpu_program_us", &labels),
+            anneal: t.histogram("quamax_qpu_anneal_us", &labels),
+            readout: t.histogram("quamax_qpu_readout_us", &labels),
+            unembed: t.histogram("quamax_qpu_unembed_us", &labels),
+            jobs: t.counter("quamax_qpu_jobs_total", &labels),
+            programs_cold: programs("cold"),
+            programs_cached: programs("cached"),
+        }
+    }
+}
+
+/// The server's per-job series, resolved against its metrics handle
+/// so recording a job formats no label and looks up no name.
+#[derive(Clone, Debug, Default)]
+struct QpuSeries {
+    /// Unlabelled queue wait (warm retries).
+    queue_wait: HistogramHandle,
+    warm_retry: HistogramHandle,
+    occupancy: HistogramHandle,
+    /// Per-cell series, sorted by cell.
+    cells: Vec<(usize, CellSeries)>,
+}
+
+impl QpuSeries {
+    fn resolve(t: &Telemetry) -> Self {
+        QpuSeries {
+            queue_wait: t.histogram("quamax_qpu_queue_wait_us", &[]),
+            warm_retry: t.histogram("quamax_qpu_warm_retry_us", &[]),
+            occupancy: t.histogram("quamax_qpu_occupancy_us", &[]),
+            cells: Vec::new(),
+        }
+    }
+
+    fn cell(&mut self, t: &Telemetry, key: usize) -> &CellSeries {
+        let at = match self.cells.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(at) => at,
+            Err(at) => {
+                self.cells.insert(at, (key, CellSeries::resolve(t, key)));
+                at
+            }
+        };
+        &self.cells[at].1
+    }
+}
+
 /// A QPU serving decode jobs FIFO.
 ///
 /// With [`QpuServer::with_coherence`], the server models the
@@ -351,6 +444,8 @@ pub struct QpuServer {
     /// Metrics handle (disabled by default; recording never feeds back
     /// into service times, so enabling it cannot perturb the clock).
     telemetry: Telemetry,
+    /// `telemetry`'s per-job series.
+    series: QpuSeries,
 }
 
 impl QpuServer {
@@ -370,19 +465,21 @@ impl QpuServer {
             cache: None,
             busy_until_us: 0.0,
             telemetry: Telemetry::disabled(),
+            series: QpuSeries::default(),
         }
     }
 
     /// Attaches a metrics handle; enqueues record per-stage spans
     /// (queue wait, program, anneal, readout, unembed) into it.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
+        self.set_telemetry(telemetry);
         self
     }
 
     /// Replaces the metrics handle in place (how a serving pool
     /// propagates one registry across its workers).
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
+        self.series = QpuSeries::resolve(&telemetry);
         self.telemetry = telemetry;
     }
 
@@ -486,7 +583,7 @@ impl QpuServer {
     /// Records one enqueue's queue wait and stage spans. Purely
     /// observational: called after the clock already advanced.
     fn record_enqueue(
-        &self,
+        &mut self,
         now_us: f64,
         start_us: f64,
         key: usize,
@@ -497,23 +594,19 @@ impl QpuServer {
         if !self.telemetry.is_enabled() {
             return;
         }
-        let t = &self.telemetry;
-        let cell = key.to_string();
-        let labels = [("cell", cell.as_str())];
-        t.span_us("quamax_qpu_queue_wait_us", &labels, now_us, start_us);
         let b = self.stage_breakdown(problems, logical_vars, program);
-        t.observe("quamax_qpu_program_us", &labels, b.program_us);
-        t.observe("quamax_qpu_anneal_us", &labels, b.anneal_us);
-        t.observe("quamax_qpu_readout_us", &labels, b.readout_us);
-        t.observe("quamax_qpu_unembed_us", &labels, b.unembed_us);
-        t.counter_inc("quamax_qpu_jobs_total", &labels);
-        t.counter_inc(
-            "quamax_qpu_programs_total",
-            &[
-                ("cell", cell.as_str()),
-                ("kind", if program { "cold" } else { "cached" }),
-            ],
-        );
+        let cell = self.series.cell(&self.telemetry, key);
+        cell.queue_wait.span_us(now_us, start_us);
+        cell.program.observe(b.program_us);
+        cell.anneal.observe(b.anneal_us);
+        cell.readout.observe(b.readout_us);
+        cell.unembed.observe(b.unembed_us);
+        cell.jobs.inc();
+        if program {
+            cell.programs_cold.inc();
+        } else {
+            cell.programs_cached.inc();
+        }
     }
 
     /// Enqueues a frame arriving at `now_us`; returns its completion
@@ -663,12 +756,8 @@ impl QpuServer {
         let start = now_us.max(self.busy_until_us);
         let done = start + self.warm_retry_time_us(problems, logical_vars, warm_fraction);
         self.busy_until_us = done;
-        if self.telemetry.is_enabled() {
-            self.telemetry
-                .span_us("quamax_qpu_queue_wait_us", &[], now_us, start);
-            self.telemetry
-                .observe("quamax_qpu_warm_retry_us", &[], done - start);
-        }
+        self.series.queue_wait.span_us(now_us, start);
+        self.series.warm_retry.observe(done - start);
         done
     }
 
@@ -686,8 +775,7 @@ impl QpuServer {
         let start = now_us.max(self.busy_until_us);
         let done = start + duration_us;
         self.busy_until_us = done;
-        self.telemetry
-            .observe("quamax_qpu_occupancy_us", &[], duration_us);
+        self.series.occupancy.observe(duration_us);
         done
     }
 

@@ -49,7 +49,7 @@ use crate::cost::{CostModel, DecodeCost};
 use crate::fault::ServeError;
 use crate::qpu::JobDirection;
 use crate::serve::{Job, Priority, ResilientServer, ServeRung};
-use quamax_telemetry::Telemetry;
+use quamax_telemetry::{CounterHandle, HistogramHandle, Telemetry};
 
 /// Close-rule comparisons tolerate this much float noise, µs.
 const EPS: f64 = 1e-9;
@@ -109,6 +109,10 @@ pub enum CloseTrigger {
 }
 
 impl CloseTrigger {
+    /// Every trigger, in declaration order.
+    pub(crate) const ALL: [CloseTrigger; 3] =
+        [CloseTrigger::Full, CloseTrigger::Slack, CloseTrigger::Drain];
+
     /// The metric-label spelling of this trigger.
     pub fn name(self) -> &'static str {
         match self {
@@ -313,6 +317,31 @@ fn admission_job(j: &UserJob) -> Job {
     }
 }
 
+/// The scheduler's per-arrival and per-dispatch series, resolved once
+/// when telemetry is attached.
+#[derive(Clone, Debug, Default)]
+struct SchedSeries {
+    open_batches: HistogramHandle,
+    reservation: HistogramHandle,
+    /// Indexed like [`CloseTrigger::ALL`].
+    batches: [CounterHandle; 3],
+    occupancy: HistogramHandle,
+    slack_at_close: HistogramHandle,
+}
+
+impl SchedSeries {
+    fn resolve(t: &Telemetry) -> Self {
+        SchedSeries {
+            open_batches: t.histogram("quamax_sched_open_batches", &[]),
+            reservation: t.histogram("quamax_sched_reservation_us", &[]),
+            batches: CloseTrigger::ALL
+                .map(|c| t.counter("quamax_sched_batches_total", &[("trigger", c.name())])),
+            occupancy: t.histogram("quamax_sched_batch_occupancy", &[]),
+            slack_at_close: t.histogram("quamax_sched_slack_at_close_us", &[]),
+        }
+    }
+}
+
 /// The deadline-aware batch scheduler.
 pub struct BatchScheduler {
     config: SchedConfig,
@@ -321,6 +350,11 @@ pub struct BatchScheduler {
     /// decisions but never feeds back into them — close times,
     /// placement, and routing are identical with telemetry on or off.
     telemetry: Telemetry,
+    /// `telemetry`'s per-event series.
+    series: SchedSeries,
+    /// Event-loop iterations so far (regression tests bound it).
+    #[cfg(test)]
+    steps: usize,
 }
 
 impl BatchScheduler {
@@ -331,6 +365,9 @@ impl BatchScheduler {
             config,
             open: Vec::new(),
             telemetry: Telemetry::disabled(),
+            series: SchedSeries::default(),
+            #[cfg(test)]
+            steps: 0,
         }
     }
 
@@ -338,6 +375,7 @@ impl BatchScheduler {
     /// handle rides the scheduler itself, builder-style).
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
+        self.series = SchedSeries::resolve(&telemetry);
         self.telemetry = telemetry;
         self
     }
@@ -360,10 +398,18 @@ impl BatchScheduler {
         mut arrivals: Vec<UserJob>,
     ) -> ScheduleReport {
         arrivals.sort_by(|a, b| a.arrival_us.total_cmp(&b.arrival_us));
-        let mut report = ScheduleReport::default();
+        // Every arrival ends in exactly one outcome.
+        let mut report = ScheduleReport {
+            outcomes: Vec::with_capacity(arrivals.len()),
+            ..ScheduleReport::default()
+        };
         let mut now = 0.0_f64;
         let mut i = 0;
         while i < arrivals.len() || !self.open.is_empty() {
+            #[cfg(test)]
+            {
+                self.steps += 1;
+            }
             let next_arrival = arrivals.get(i).map(|j| j.arrival_us);
             let next_close = self.next_close_us(server, now);
             match (next_arrival, next_close) {
@@ -383,11 +429,7 @@ impl BatchScheduler {
                     let job = arrivals[i];
                     i += 1;
                     self.ingest(server, broker, job, &mut report);
-                    self.telemetry.observe(
-                        "quamax_sched_open_batches",
-                        &[],
-                        self.open.len() as f64,
-                    );
+                    self.series.open_batches.observe(self.open.len() as f64);
                 }
                 (None, None) => break,
             }
@@ -400,6 +442,8 @@ impl BatchScheduler {
             self.dispatch(server, broker, now, batch, CloseTrigger::Drain, &mut report);
         }
         report.outcomes.sort_by_key(|o| o.id);
+        // Callers keep reports; return the log without growth slack.
+        report.dispatches.shrink_to_fit();
         report
     }
 
@@ -414,20 +458,40 @@ impl BatchScheduler {
         })
     }
 
-    /// The earliest close time over open batches at `now`.
+    /// The earliest close event over open batches at `now`.
     fn next_close_us(&self, server: &mut ResilientServer, now: f64) -> Option<f64> {
         self.open
             .iter()
-            .map(|b| Self::close_us(server, now, b))
+            .map(|b| Self::close_event_us(server, now, b))
             .min_by(f64::total_cmp)
+    }
+
+    /// When the event loop should next look at `b`: its close time if
+    /// that has come, else no earlier than the moment the wait it is
+    /// queued behind stops draining or its cached session expires.
+    /// While the worker it waits on is busy, the wait drains one µs per
+    /// µs, so [`Self::close_us`] stays the same distance ahead of `now`;
+    /// only an expiring session (its service then pays programming) can
+    /// bring the close forward before the worker frees up. Stepping to
+    /// the re-priced close instead would advance the loop by the
+    /// leftover slack per event, however small.
+    fn close_event_us(server: &mut ResilientServer, now: f64, b: &OpenBatch) -> f64 {
+        let close = Self::close_us(server, now, b);
+        if close <= now + EPS {
+            return close;
+        }
+        let drained = server.wait_drains_until_us(now, b.reserve.map(|(w, _)| w));
+        let expiry = server.cached_until_us(now, b.cell, b.hash);
+        close.max(expiry.map_or(drained, |e| drained.min(e)))
     }
 
     /// The batch-closing rule: the time at which `b`'s earliest
     /// deadline slack minus its projected service hits zero, evaluated
     /// with the wait measured *now*. Queue wait only drains as time
     /// advances, so this is conservative: re-evaluated at the returned
-    /// time it can move later (the event loop just re-arms), but a
-    /// batch is never closed *after* its projection misses.
+    /// time it can move later (the event loop re-arms at
+    /// [`Self::close_event_us`]), but a batch is never closed *after*
+    /// its projection misses.
     fn close_us(server: &mut ResilientServer, now: f64, b: &OpenBatch) -> f64 {
         b.earliest_deadline_us - Self::projected_service_us(server, now, b)
     }
@@ -534,8 +598,7 @@ impl BatchScheduler {
             });
         if let Some(w) = worker {
             server.reserve_batch_us(w, service);
-            self.telemetry
-                .observe("quamax_sched_reservation_us", &[], service);
+            self.series.reservation.observe(service);
         }
         let mut b = OpenBatch {
             cell: job.cell,
@@ -569,8 +632,7 @@ impl BatchScheduler {
             let delta = (service - own).max(0.0);
             server.reserve_batch_us(w, delta);
             b.reserve = Some((w, own + delta));
-            self.telemetry
-                .observe("quamax_sched_reservation_us", &[], delta);
+            self.series.reservation.observe(delta);
         }
     }
 
@@ -607,15 +669,11 @@ impl BatchScheduler {
         // it must still be reserved here or the wait is undercounted.
         let count = batch.members.len() as u64;
         let projected_done_us = now + Self::projected_service_us(server, now, &batch);
-        self.telemetry
-            .counter_inc("quamax_sched_batches_total", &[("trigger", trigger.name())]);
-        self.telemetry
-            .observe("quamax_sched_batch_occupancy", &[], count as f64);
-        self.telemetry.observe(
-            "quamax_sched_slack_at_close_us",
-            &[],
-            batch.earliest_deadline_us - projected_done_us,
-        );
+        self.series.batches[trigger as usize].inc();
+        self.series.occupancy.observe(count as f64);
+        self.series
+            .slack_at_close
+            .observe(batch.earliest_deadline_us - projected_done_us);
         if let Some((w, own)) = batch.reserve {
             server.release_batch_us(w, own);
         }
@@ -744,11 +802,13 @@ mod tests {
     use crate::serve::Guardrails;
 
     fn pool(workers: usize) -> ResilientServer {
+        pool_with(QpuOverheads::integrated(), workers)
+    }
+
+    fn pool_with(overheads: QpuOverheads, workers: usize) -> ResilientServer {
         ResilientServer::new(
             (0..workers)
-                .map(|_| {
-                    QpuServer::new(QpuOverheads::integrated(), 2.0, 5).with_session_cache(30_000.0)
-                })
+                .map(|_| QpuServer::new(overheads, 2.0, 5).with_session_cache(30_000.0))
                 .collect(),
             CpuPool::new(
                 8,
@@ -893,6 +953,91 @@ mod tests {
             "one uplink batch + one downlink batch, never merged"
         );
         assert!(report.dispatches.iter().all(|d| d.occupancy == 4));
+    }
+
+    #[test]
+    fn a_batch_queued_behind_a_busy_worker_closes_without_creeping() {
+        // Job A's impossible deadline dispatches it at arrival, keeping
+        // the only worker busy until `free`. Job B, another cell,
+        // reserves that worker with leftover slack `K = D − S − free`
+        // of 1e-6 µs: its close time, re-priced at `now`, stays K ahead
+        // of `now` until the worker frees up.
+        let run = |arrivals: Vec<UserJob>| {
+            let mut server = pool(1);
+            let mut broker = Broker::new();
+            let mut sched = BatchScheduler::new(SchedConfig::new(Policy::DeadlineBatch, 4));
+            let report = sched.run(&mut server, &mut broker, arrivals);
+            (report, sched.steps, server)
+        };
+        let a = user_job(0.0, 0, 0xA, 1.0);
+        let (alone, _, server) = run(vec![a]);
+        let free = alone.outcomes[0].done_us;
+        let service = server.batch_service_us(1, 16, true);
+        let arrival = 1.0;
+        let b = user_job(arrival, 1, 0xB, free + service + 1e-6 - arrival);
+        let (report, steps, _) = run(vec![a, b]);
+        assert_eq!(report.completed(), 2);
+        let closed = &report.dispatches[1];
+        assert_eq!(closed.trigger, CloseTrigger::Slack);
+        assert!(free < closed.close_us, "B closes once the worker is free");
+        // The time the re-pricing loop converged to: the idle-worker
+        // close `D − (0 + S)`.
+        assert_eq!(closed.close_us, b.absolute_deadline_us() - (0.0 + service));
+        // One event per arrival, one per close, one at `free`.
+        assert!(steps <= 2 + 2 + 1, "event loop took {steps} steps");
+    }
+
+    #[test]
+    fn a_session_expiring_behind_a_busy_worker_closes_its_batch() {
+        // P programs (cell 1, 0xB) at 0; A, another cell, keeps the only
+        // worker busy across that session's expiry `e`. B reuses the
+        // session: cached, its close stays half the programming cost
+        // ahead of `now`, but once the session expires its service pays
+        // programming and the close falls due at `e`, before the worker
+        // frees up.
+        let run = |arrivals: Vec<UserJob>| {
+            let mut server = pool_with(
+                QpuOverheads {
+                    programming_us: 80.0,
+                    ..QpuOverheads::integrated()
+                },
+                1,
+            );
+            let mut broker = Broker::new();
+            let mut sched = BatchScheduler::new(SchedConfig::new(Policy::DeadlineBatch, 4));
+            let report = sched.run(&mut server, &mut broker, arrivals);
+            (report, sched.steps, server)
+        };
+        let p = user_job(0.0, 1, 0xB, 1.0);
+        let (_, _, server) = run(vec![p]);
+        let e = server.cached_until_us(0.0, 1, 0xB).expect("P programmed");
+        let (cached, programmed) = (
+            server.batch_service_us(1, 16, false),
+            server.batch_service_us(1, 16, true),
+        );
+        let a = user_job(e - programmed / 2.0, 0, 0xA, 1.0);
+        let free = a.arrival_us + programmed;
+        let b_at = a.arrival_us + 1.0;
+        let b = user_job(
+            b_at,
+            1,
+            0xB,
+            free + cached + (programmed - cached) / 2.0 - b_at,
+        );
+        // C would join B's batch if B were still open when it arrives.
+        let c_at = (e + free) / 2.0;
+        let c = user_job(c_at, 1, 0xB, 1e6);
+        let (report, steps, _) = run(vec![p, a, b, c]);
+        assert_eq!(report.completed(), 4);
+        let closed = &report.dispatches[2];
+        assert_eq!(closed.trigger, CloseTrigger::Slack);
+        assert!(b_at < e && e < c_at && c_at < free);
+        // Re-pricing at every step instead overshot `e` by up to the
+        // step (the slack), here to C's arrival: C joined B's past-due
+        // batch, which closed at 30,022.5 µs with −40 µs of slack.
+        assert_eq!(closed.close_us, e, "B closes as its session expires");
+        assert_eq!(closed.occupancy, 1, "C arrived after B fell due");
+        assert!(steps <= 4 + 4 + 2, "event loop took {steps} steps");
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::fault::{FaultClass, FaultPlan, ServeError};
 use crate::hybrid::HybridServer;
 use crate::qpu::{JobDirection, QpuServer};
 use crate::retry::RetryPolicy;
-use quamax_telemetry::Telemetry;
+use quamax_telemetry::{CounterHandle, HistogramHandle, Telemetry};
 
 /// A job's admission-control class.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -37,6 +37,9 @@ pub enum Priority {
 }
 
 impl Priority {
+    /// Every class, in declaration order.
+    pub(crate) const ALL: [Priority; 3] = [Priority::High, Priority::Normal, Priority::Low];
+
     /// A short lowercase label for reports and metric labels.
     pub fn name(self) -> &'static str {
         match self {
@@ -175,6 +178,10 @@ pub enum ServeRung {
 }
 
 impl ServeRung {
+    /// Every rung, top of the ladder first.
+    pub(crate) const ALL: [ServeRung; 3] =
+        [ServeRung::Qpu, ServeRung::Hybrid, ServeRung::Classical];
+
     /// A short lowercase label for reports and metric labels.
     pub fn name(self) -> &'static str {
         match self {
@@ -249,6 +256,53 @@ struct QpuWorker {
     reserved_us: f64,
 }
 
+/// The server's per-job and per-attempt series, resolved once when
+/// telemetry is attached. Arrays are indexed like the enums' `ALL`.
+#[derive(Clone, Debug, Default)]
+struct ServeSeries {
+    /// `[direction][priority]`.
+    submitted: [[CounterHandle; 3]; 2],
+    shed: [CounterHandle; 3],
+    served: [CounterHandle; 3],
+    attempts: HistogramHandle,
+    retries_funded: CounterHandle,
+    retries_denied: CounterHandle,
+    restarts_warm: CounterHandle,
+    restarts_cold: CounterHandle,
+    breaker_opened: CounterHandle,
+}
+
+impl ServeSeries {
+    fn resolve(t: &Telemetry) -> Self {
+        let outcome = |o: &str| t.counter("quamax_serve_retries_total", &[("outcome", o)]);
+        let restart = |k: &str| t.counter("quamax_serve_restarts_total", &[("kind", k)]);
+        ServeSeries {
+            submitted: JobDirection::ALL.map(|d| {
+                Priority::ALL.map(|p| {
+                    t.counter(
+                        "quamax_serve_submitted_total",
+                        &[("direction", d.name()), ("priority", p.name())],
+                    )
+                })
+            }),
+            shed: Priority::ALL
+                .map(|p| t.counter("quamax_serve_shed_total", &[("priority", p.name())])),
+            served: ServeRung::ALL
+                .map(|r| t.counter("quamax_serve_served_total", &[("rung", r.name())])),
+            attempts: t.histogram("quamax_serve_attempts", &[]),
+            retries_funded: outcome("funded"),
+            retries_denied: outcome("denied"),
+            restarts_warm: restart("warm"),
+            restarts_cold: restart("cold"),
+            breaker_opened: t.counter("quamax_breaker_transitions_total", &[("to", "open")]),
+        }
+    }
+
+    fn submitted(&self, job: &Job) -> &CounterHandle {
+        &self.submitted[job.direction as usize][job.priority as usize]
+    }
+}
+
 /// A pool of QPU workers behind the full guardrail stack.
 pub struct ResilientServer {
     workers: Vec<QpuWorker>,
@@ -266,6 +320,8 @@ pub struct ResilientServer {
     /// back into routing, retry funding, or the fault schedule, so
     /// enabling it cannot perturb any completion time.
     telemetry: Telemetry,
+    /// `telemetry`'s per-job series.
+    series: ServeSeries,
 }
 
 impl ResilientServer {
@@ -301,6 +357,7 @@ impl ResilientServer {
             ledger: Ledger::default(),
             job_seq: 0,
             telemetry: Telemetry::disabled(),
+            series: ServeSeries::default(),
         }
     }
 
@@ -323,6 +380,7 @@ impl ResilientServer {
         for w in &mut self.workers {
             w.qpu.set_telemetry(telemetry.clone());
         }
+        self.series = ServeSeries::resolve(&telemetry);
         self.telemetry = telemetry;
     }
 
@@ -464,6 +522,25 @@ impl ResilientServer {
         )
     }
 
+    /// Until when the projected wait behind `worker` (or, for `None`,
+    /// behind the least-loaded eligible worker — the
+    /// [`ResilientServer::projected_wait_us`] view) keeps draining one
+    /// µs per µs at `now_us`: that worker's busy-until, or `now_us` when
+    /// it is idle or no such worker is eligible. The batch scheduler
+    /// re-arms a close event there instead of re-pricing a draining
+    /// wait at every step.
+    pub(crate) fn wait_drains_until_us(&mut self, now_us: f64, worker: Option<usize>) -> f64 {
+        let worker = match worker {
+            Some(w) => self.queue_depth_us(w, now_us).map(|_| w),
+            None => self
+                .eligible(now_us)
+                .into_iter()
+                .min_by(|a, b| a.1.total_cmp(&b.1))
+                .map(|(w, _)| w),
+        };
+        worker.map_or(now_us, |w| self.workers[w].qpu.busy_until_us().max(now_us))
+    }
+
     /// The single shedding estimate shared by direct submission and
     /// broker admission: `Some(projected wait)` when a job of
     /// `priority` must be shed at `now_us` (every healthy worker's
@@ -504,6 +581,17 @@ impl ResilientServer {
         self.workers
             .iter()
             .position(|w| w.qpu.has_cached_session(now_us, key, hash))
+    }
+
+    /// Until when [`ResilientServer::cached_worker`] keeps finding
+    /// `(key, hash)`: the last instant any worker's entry expires (see
+    /// [`crate::qpu::SessionCache::expires_us`]), or `None` when no
+    /// worker holds it fresh at `now_us`.
+    pub(crate) fn cached_until_us(&self, now_us: f64, key: usize, hash: u64) -> Option<f64> {
+        self.workers
+            .iter()
+            .filter_map(|w| w.qpu.session_cache()?.expires_us(now_us, key, hash))
+            .max_by(f64::total_cmp)
     }
 
     /// Service time of one combined batch on a pool worker (the
@@ -581,13 +669,7 @@ impl ResilientServer {
     /// either way.
     pub fn submit(&mut self, now_us: f64, job: &Job) -> Result<Served, ServeError> {
         self.ledger.submitted += 1;
-        self.telemetry.counter_inc(
-            "quamax_serve_submitted_total",
-            &[
-                ("direction", job.direction.name()),
-                ("priority", job.priority.name()),
-            ],
-        );
+        self.series.submitted(job).inc();
         if let Err(e) = Self::validate(job) {
             self.job_seq += 1;
             self.ledger.failed += 1;
@@ -600,10 +682,7 @@ impl ResilientServer {
         if let Some(wait) = self.shed_wait_us(now_us, job.priority) {
             self.job_seq += 1;
             self.ledger.shed += 1;
-            self.telemetry.counter_inc(
-                "quamax_serve_shed_total",
-                &[("priority", job.priority.name())],
-            );
+            self.series.shed[job.priority as usize].inc();
             return Err(ServeError::Shed {
                 projected_wait_us: wait,
             });
@@ -637,13 +716,7 @@ impl ResilientServer {
     /// schedule bit for bit.
     pub fn admit(&mut self, now_us: f64, job: &Job) -> Result<(), ServeError> {
         self.ledger.submitted += 1;
-        self.telemetry.counter_inc(
-            "quamax_serve_submitted_total",
-            &[
-                ("direction", job.direction.name()),
-                ("priority", job.priority.name()),
-            ],
-        );
+        self.series.submitted(job).inc();
         if let Err(e) = Self::validate(job) {
             self.job_seq += 1;
             self.ledger.failed += 1;
@@ -652,10 +725,7 @@ impl ResilientServer {
         if let Some(wait) = self.shed_wait_us(now_us, job.priority) {
             self.job_seq += 1;
             self.ledger.shed += 1;
-            self.telemetry.counter_inc(
-                "quamax_serve_shed_total",
-                &[("priority", job.priority.name())],
-            );
+            self.series.shed[job.priority as usize].inc();
             return Err(ServeError::Shed {
                 projected_wait_us: wait,
             });
@@ -734,11 +804,7 @@ impl ResilientServer {
         self.ledger.batched -= count;
         let done = self.classical.enqueue(now_us, problems, proto.users);
         self.ledger.completed += count;
-        self.telemetry.counter_add(
-            "quamax_serve_served_total",
-            &[("rung", ServeRung::Classical.name())],
-            count,
-        );
+        self.series.served[ServeRung::Classical as usize].add(count);
         Served {
             done_us: done,
             attempts: 0,
@@ -803,12 +869,8 @@ impl ResilientServer {
                         done = worker.qpu.occupy_us(done, self.plan.stall_us());
                     }
                     worker.breaker.on_success();
-                    self.telemetry.counter_inc(
-                        "quamax_serve_served_total",
-                        &[("rung", ServeRung::Qpu.name())],
-                    );
-                    self.telemetry
-                        .observe("quamax_serve_attempts", &[], f64::from(attempt));
+                    self.series.served[ServeRung::Qpu as usize].inc();
+                    self.series.attempts.observe(f64::from(attempt));
                     return Ok(Served {
                         done_us: done,
                         attempts: attempt,
@@ -821,7 +883,7 @@ impl ResilientServer {
                     // down for the repair interval. The job never ran,
                     // so a retry is cold and must use an alternate.
                     worker.crashed_until_us = t + self.plan.repair_us();
-                    note_breaker_failure(&self.telemetry, &mut worker.breaker, t);
+                    note_breaker_failure(&self.series.breaker_opened, &mut worker.breaker, t);
                     last_err = ServeError::Fault { class };
                     warm = false;
                 }
@@ -831,7 +893,7 @@ impl ResilientServer {
                     let fail_at = worker
                         .qpu
                         .occupy_us(t, worker.qpu.overheads().programming_us);
-                    note_breaker_failure(&self.telemetry, &mut worker.breaker, fail_at);
+                    note_breaker_failure(&self.series.breaker_opened, &mut worker.breaker, fail_at);
                     last_err = ServeError::Fault { class };
                     warm = false;
                     t = fail_at;
@@ -858,7 +920,7 @@ impl ResilientServer {
                             .qpu
                             .enqueue_keyed(t, job.source, problems, job.logical_vars)
                     };
-                    note_breaker_failure(&self.telemetry, &mut worker.breaker, fail_at);
+                    note_breaker_failure(&self.series.breaker_opened, &mut worker.breaker, fail_at);
                     last_err = ServeError::Fault { class };
                     warm = true;
                     t = fail_at;
@@ -886,18 +948,17 @@ impl ResilientServer {
                 self.plan.seed() ^ job_id,
             ) {
                 Some(backoff) => {
-                    self.telemetry
-                        .counter_inc("quamax_serve_retries_total", &[("outcome", "funded")]);
-                    self.telemetry.counter_inc(
-                        "quamax_serve_restarts_total",
-                        &[("kind", if warm { "warm" } else { "cold" })],
-                    );
+                    self.series.retries_funded.inc();
+                    if warm {
+                        self.series.restarts_warm.inc();
+                    } else {
+                        self.series.restarts_cold.inc();
+                    }
                     t += backoff;
                     attempt += 1;
                 }
                 None => {
-                    self.telemetry
-                        .counter_inc("quamax_serve_retries_total", &[("outcome", "denied")]);
+                    self.series.retries_denied.inc();
                     break;
                 }
             }
@@ -915,10 +976,8 @@ impl ResilientServer {
                     ServeRung::Classical,
                 ),
             };
-            self.telemetry
-                .counter_inc("quamax_serve_served_total", &[("rung", rung.name())]);
-            self.telemetry
-                .observe("quamax_serve_attempts", &[], f64::from(attempt));
+            self.series.served[rung as usize].inc();
+            self.series.attempts.observe(f64::from(attempt));
             return Ok(Served {
                 done_us: done,
                 attempts: attempt,
@@ -935,11 +994,11 @@ impl ResilientServer {
 /// [`CircuitBreaker::trips`] delta — never an extra
 /// [`CircuitBreaker::state`] call, which would advance open → half-open
 /// and perturb routing when telemetry is on.
-fn note_breaker_failure(telemetry: &Telemetry, breaker: &mut CircuitBreaker, at_us: f64) {
+fn note_breaker_failure(opened: &CounterHandle, breaker: &mut CircuitBreaker, at_us: f64) {
     let before = breaker.trips();
     breaker.on_failure(at_us);
     if breaker.trips() > before {
-        telemetry.counter_inc("quamax_breaker_transitions_total", &[("to", "open")]);
+        opened.inc();
     }
 }
 

@@ -20,6 +20,22 @@
 //! `DecodeSession::decode_batch`'s scoped worker threads record into
 //! the same registry as the host thread.
 //!
+//! *Series handles.* [`Telemetry::counter`] and [`Telemetry::histogram`]
+//! resolve a series' name and labels once into a [`CounterHandle`] or
+//! [`HistogramHandle`]; recording through it is one lock and an index —
+//! no allocation, no string compare. Resolve where a component gets its
+//! `Telemetry` (its `with_telemetry`/`set_telemetry`), or on first use
+//! for labels known only at run time (a cell id), and keep the handle
+//! for every per-job or per-attempt record. Resolving alone leaves no
+//! trace: a series enters snapshots only once something is recorded
+//! into it, so unused handles never change an export. The string-keyed
+//! calls ([`Telemetry::counter_inc`], [`Telemetry::observe`],
+//! [`Telemetry::counter_store`], …) stay for one-off and snapshot-time
+//! recording such as `publish_telemetry`: they look the series up on
+//! every call and allocate only when they create it. A name keeps the
+//! kind it was first resolved with; resolving it as another kind
+//! panics.
+//!
 //! **No wall-clock, no RNG — the invariant.** This crate imports
 //! neither `std::time` nor any random-number source. Spans are keyed
 //! on *simulated* time: the caller passes explicit `start_us`/`end_us`
@@ -44,14 +60,14 @@
 //! from fixed enums, `cell`/`worker` from the (small) configured
 //! topology. Never label by job id, channel hash, timestamp, or any
 //! per-event value — those belong in histogram observations, not in
-//! series keys. Series are keyed in a `BTreeMap`, so snapshots
-//! enumerate in a deterministic (name, labels) order regardless of
-//! insertion order.
+//! series keys. Series are listed by name and then by sorted labels,
+//! so snapshots enumerate in a deterministic (name, labels) order
+//! regardless of insertion or resolution order.
 //!
-//! **Histograms.** [`Histogram`] keeps two views of the same data:
-//! base-2 log buckets (upper bounds 1, 2, 4, … µs with a saturating
-//! `+Inf` overflow bucket) for Prometheus-style exposition, and the
-//! exact sample set for quantile extraction. [`Histogram::quantile`]
+//! **Histograms.** [`Histogram`] keeps the exact sample set and derives
+//! two views of it at snapshot time: base-2 log buckets (upper bounds
+//! 1, 2, 4, … µs with a saturating `+Inf` overflow bucket) for
+//! Prometheus-style exposition, and exact quantiles. [`Histogram::quantile`]
 //! uses the same nearest-rank rule as
 //! `quamax_ran::ScheduleReport::latency_quantile_us`
 //! (`sort_by(total_cmp)`, index `round((len-1)·q)`, `0.0` when empty),
@@ -78,7 +94,6 @@
 //! is additive. [`Telemetry::counter_store`] (absolute, last write
 //! wins) exists for exactly this use.
 
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 /// Number of histogram buckets: upper bounds `2^0 … 2^38` µs plus the
@@ -96,22 +111,27 @@ pub fn bucket_upper_bound(i: usize) -> f64 {
     }
 }
 
-/// A log-bucketed latency histogram that also retains its exact
-/// samples, so bucket exposition and exact nearest-rank quantiles come
-/// from one recording call.
+/// A latency histogram over its exact samples: log-bucket exposition
+/// and exact nearest-rank quantiles both derive from the one sample set
+/// a recording call appends to.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Histogram {
-    buckets: Vec<u64>,
     samples: Vec<f64>,
+}
+
+/// Nearest-rank quantile of already-sorted samples (`0.0` when empty).
+fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
+    assert!((0.0..=1.0).contains(&q), "quantile out of range");
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
 }
 
 impl Histogram {
     /// An empty histogram.
     pub fn new() -> Self {
-        Histogram {
-            buckets: vec![0; NUM_BUCKETS],
-            samples: Vec::new(),
-        }
+        Histogram::default()
     }
 
     fn bucket_index(v: f64) -> usize {
@@ -130,15 +150,11 @@ impl Histogram {
 
     /// Records one observation.
     pub fn observe(&mut self, v: f64) {
-        self.buckets[Self::bucket_index(v)] += 1;
         self.samples.push(v);
     }
 
     /// Folds another histogram's samples into this one.
     pub fn merge(&mut self, other: &Histogram) {
-        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
-        }
         self.samples.extend_from_slice(&other.samples);
     }
 
@@ -153,8 +169,18 @@ impl Histogram {
     }
 
     /// Per-bucket (non-cumulative) counts, index ↔ [`bucket_upper_bound`].
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.buckets
+    pub fn bucket_counts(&self) -> Vec<u64> {
+        let mut counts = vec![0; NUM_BUCKETS];
+        for &v in &self.samples {
+            counts[Self::bucket_index(v)] += 1;
+        }
+        counts
+    }
+
+    fn sorted(&self) -> Vec<f64> {
+        let mut sorted = self.samples.clone();
+        sorted.sort_by(f64::total_cmp);
+        sorted
     }
 
     /// Exact nearest-rank quantile over the retained samples — the
@@ -162,23 +188,14 @@ impl Histogram {
     /// sorted by `total_cmp`, index `round((len-1)·q)`, `0.0` when
     /// empty.
     pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(f64::total_cmp);
-        let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-        sorted[idx]
+        nearest_rank(&self.sorted(), q)
     }
 
     /// Sum of all observations, accumulated in sorted order so the
     /// result is independent of (possibly multi-threaded) recording
     /// order.
     pub fn sum(&self) -> f64 {
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(f64::total_cmp);
-        sorted.iter().sum()
+        self.sorted().iter().sum()
     }
 
     /// Mean observation (`0.0` when empty).
@@ -208,33 +225,34 @@ impl Histogram {
             .unwrap_or(0.0)
     }
 
-    /// Freezes this histogram into its snapshot form.
+    /// Freezes this histogram into its snapshot form (one sort serves
+    /// every order statistic).
     pub fn snapshot(&self) -> HistogramSnapshot {
+        let sorted = self.sorted();
+        let mut cum = 0;
         HistogramSnapshot {
-            count: self.samples.len() as u64,
-            sum: self.sum(),
-            min: self.min(),
-            max: self.max(),
-            p50: self.quantile(0.5),
-            p99: self.quantile(0.99),
-            p999: self.quantile(0.999),
-            buckets: {
-                let mut cum = 0;
-                self.buckets
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &c)| {
-                        cum += c;
-                        (bucket_upper_bound(i), cum)
-                    })
-                    .collect()
-            },
+            count: sorted.len() as u64,
+            sum: sorted.iter().sum(),
+            min: sorted.first().copied().unwrap_or(0.0),
+            max: sorted.last().copied().unwrap_or(0.0),
+            p50: nearest_rank(&sorted, 0.5),
+            p99: nearest_rank(&sorted, 0.99),
+            p999: nearest_rank(&sorted, 0.999),
+            buckets: self
+                .bucket_counts()
+                .into_iter()
+                .enumerate()
+                .map(|(i, c)| {
+                    cum += c;
+                    (bucket_upper_bound(i), cum)
+                })
+                .collect(),
         }
     }
 }
 
-/// One live metric in the registry.
-#[derive(Clone, Debug, PartialEq)]
+/// One series' value.
+#[derive(Debug)]
 enum Metric {
     Counter(u64),
     Gauge(f64),
@@ -249,31 +267,214 @@ impl Metric {
             Metric::Histogram(_) => "histogram",
         }
     }
+
+    /// A zeroed metric of the same kind.
+    fn cleared(&self) -> Metric {
+        match self {
+            Metric::Counter(_) => Metric::Counter(0),
+            Metric::Gauge(_) => Metric::Gauge(0.0),
+            Metric::Histogram(_) => Metric::Histogram(Histogram::new()),
+        }
+    }
 }
 
-type SeriesKey = (String, Vec<(String, String)>);
+/// One series: its sorted labels, its value, and whether anything was
+/// recorded into it since it was created or the registry was reset.
+/// Resolving a handle creates a series without recording, and
+/// snapshots skip it until it is live, so resolving ahead of use never
+/// shows up in an export.
+struct Series {
+    labels: Vec<(String, String)>,
+    metric: Metric,
+    live: bool,
+}
 
+impl Series {
+    fn labels(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.labels.iter().map(|(k, v)| (k.as_str(), v.as_str()))
+    }
+}
+
+/// Label pairs a lookup sorts on the stack; longer keys spill to a
+/// `Vec`.
+const INLINE_LABELS: usize = 8;
+
+/// The series store.
 #[derive(Default)]
 struct Registry {
-    metrics: BTreeMap<SeriesKey, Metric>,
-}
-
-fn series_key(name: &str, labels: &[(&str, &str)]) -> SeriesKey {
-    let mut owned: Vec<(String, String)> = labels
-        .iter()
-        .map(|&(k, v)| (k.to_string(), v.to_string()))
-        .collect();
-    owned.sort();
-    (name.to_string(), owned)
+    /// Every series, in creation order; handles hold an index.
+    series: Vec<Series>,
+    /// Series indices per name, sorted by name, each list sorted by
+    /// labels: the `(name, labels)` snapshot order.
+    names: Vec<(String, Vec<usize>)>,
 }
 
 impl Registry {
-    fn entry(&mut self, name: &str, labels: &[(&str, &str)], default: Metric) -> &mut Metric {
-        let slot = self
-            .metrics
-            .entry(series_key(name, labels))
-            .or_insert(default);
-        slot
+    /// Where `name` is, or would be inserted, in `names`.
+    fn find_name(&self, name: &str) -> Result<usize, usize> {
+        self.names.binary_search_by(|(n, _)| n.as_str().cmp(name))
+    }
+
+    /// The index of series `(name, labels)`, created (not yet live) on
+    /// first sight with `default` as its value. Only creating a series
+    /// allocates.
+    ///
+    /// # Panics
+    /// Panics when the series exists with another kind.
+    fn resolve(&mut self, name: &str, labels: &[(&str, &str)], default: fn() -> Metric) -> usize {
+        let mut inline = [("", ""); INLINE_LABELS];
+        let mut spilled = Vec::new();
+        let sorted = if labels.len() <= INLINE_LABELS {
+            &mut inline[..labels.len()]
+        } else {
+            spilled.resize(labels.len(), ("", ""));
+            &mut spilled[..]
+        };
+        sorted.copy_from_slice(labels);
+        sorted.sort_unstable();
+        let at = self.find_name(name).unwrap_or_else(|at| {
+            self.names.insert(at, (name.to_string(), Vec::new()));
+            at
+        });
+        let Registry { series, names } = self;
+        let ids = &mut names[at].1;
+        let index = match ids.binary_search_by(|&i| series[i].labels().cmp(sorted.iter().copied()))
+        {
+            Ok(pos) => ids[pos],
+            Err(pos) => {
+                ids.insert(pos, series.len());
+                series.push(Series {
+                    labels: sorted
+                        .iter()
+                        .map(|&(k, v)| (k.to_string(), v.to_string()))
+                        .collect(),
+                    metric: default(),
+                    live: false,
+                });
+                series.len() - 1
+            }
+        };
+        let (have, want) = (series[index].metric.kind(), default().kind());
+        assert!(have == want, "{name} is a {have}, not a {want}");
+        index
+    }
+
+    /// Resolves `(name, labels)` for a direct write and marks it live.
+    fn write(
+        &mut self,
+        name: &str,
+        labels: &[(&str, &str)],
+        default: fn() -> Metric,
+    ) -> &mut Metric {
+        let index = self.resolve(name, labels, default);
+        self.metric(index)
+    }
+
+    /// Series `index`'s value, marked live for a write.
+    fn metric(&mut self, index: usize) -> &mut Metric {
+        let series = &mut self.series[index];
+        series.live = true;
+        &mut series.metric
+    }
+
+    /// The series indices named `name`, in label order.
+    fn family(&self, name: &str) -> &[usize] {
+        match self.find_name(name) {
+            Ok(at) => &self.names[at].1,
+            Err(_) => &[],
+        }
+    }
+
+    /// The live series among `ids`.
+    fn live<'a>(&'a self, ids: &'a [usize]) -> impl Iterator<Item = &'a Series> {
+        ids.iter().map(|&i| &self.series[i]).filter(|s| s.live)
+    }
+}
+
+fn lock(registry: &Mutex<Registry>) -> std::sync::MutexGuard<'_, Registry> {
+    registry.lock().expect("telemetry registry poisoned")
+}
+
+fn new_counter() -> Metric {
+    Metric::Counter(0)
+}
+
+fn new_gauge() -> Metric {
+    Metric::Gauge(0.0)
+}
+
+fn new_histogram() -> Metric {
+    Metric::Histogram(Histogram::new())
+}
+
+/// A series resolved once: the registry it lives in and its index.
+#[derive(Clone)]
+struct Slot {
+    registry: Arc<Mutex<Registry>>,
+    index: usize,
+}
+
+impl Slot {
+    fn with(&self, f: impl FnOnce(&mut Metric)) {
+        f(lock(&self.registry).metric(self.index));
+    }
+}
+
+impl std::fmt::Debug for Slot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Slot").field("index", &self.index).finish()
+    }
+}
+
+/// A pre-resolved counter series (see [`Telemetry::counter`]): it
+/// records by index — no allocation, no string compare. A handle
+/// resolved from a disabled [`Telemetry`] (or defaulted) is inert.
+#[derive(Clone, Debug, Default)]
+pub struct CounterHandle {
+    slot: Option<Slot>,
+}
+
+impl CounterHandle {
+    /// Adds `delta` to the counter.
+    pub fn add(&self, delta: u64) {
+        if let Some(slot) = &self.slot {
+            slot.with(|m| match m {
+                Metric::Counter(c) => *c += delta,
+                _ => unreachable!("kind checked at resolution"),
+            });
+        }
+    }
+
+    /// Increments the counter by one.
+    pub fn inc(&self) {
+        self.add(1);
+    }
+}
+
+/// A pre-resolved histogram series (see [`Telemetry::histogram`]): it
+/// records by index — no allocation beyond the sample itself, no
+/// string compare. A handle resolved from a disabled [`Telemetry`] (or
+/// defaulted) is inert.
+#[derive(Clone, Debug, Default)]
+pub struct HistogramHandle {
+    slot: Option<Slot>,
+}
+
+impl HistogramHandle {
+    /// Records one observation.
+    pub fn observe(&self, value: f64) {
+        if let Some(slot) = &self.slot {
+            slot.with(|m| match m {
+                Metric::Histogram(h) => h.observe(value),
+                _ => unreachable!("kind checked at resolution"),
+            });
+        }
+    }
+
+    /// Records a completed simulated-time span (`end_us - start_us`,
+    /// clamped at zero), as [`Telemetry::span_us`] does.
+    pub fn span_us(&self, start_us: f64, end_us: f64) {
+        self.observe((end_us - start_us).max(0.0));
     }
 }
 
@@ -323,16 +524,48 @@ impl Telemetry {
     }
 
     fn with<R>(&self, f: impl FnOnce(&mut Registry) -> R) -> Option<R> {
-        self.inner
-            .as_ref()
-            .map(|m| f(&mut m.lock().expect("telemetry registry poisoned")))
+        self.inner.as_ref().map(|m| f(&mut lock(m)))
+    }
+
+    /// Resolves a series once for repeated recording; `None` when
+    /// disabled.
+    fn slot(&self, name: &str, labels: &[(&str, &str)], default: fn() -> Metric) -> Option<Slot> {
+        let registry = self.inner.as_ref()?;
+        let index = lock(registry).resolve(name, labels, default);
+        Some(Slot {
+            registry: Arc::clone(registry),
+            index,
+        })
+    }
+
+    /// Resolves the counter series `(name, labels)` into a handle that
+    /// records without allocating or comparing strings. The series
+    /// appears in snapshots only once something is recorded into it.
+    ///
+    /// # Panics
+    /// Panics when the series exists with another kind.
+    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> CounterHandle {
+        CounterHandle {
+            slot: self.slot(name, labels, new_counter),
+        }
+    }
+
+    /// Resolves the histogram series `(name, labels)` into a handle
+    /// (see [`Telemetry::counter`]).
+    ///
+    /// # Panics
+    /// Panics when the series exists with another kind.
+    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> HistogramHandle {
+        HistogramHandle {
+            slot: self.slot(name, labels, new_histogram),
+        }
     }
 
     /// Adds `delta` to a monotonic counter series.
     pub fn counter_add(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
-        self.with(|r| match r.entry(name, labels, Metric::Counter(0)) {
+        self.with(|r| match r.write(name, labels, new_counter) {
             Metric::Counter(c) => *c += delta,
-            m => panic!("{name} is a {}, not a counter", m.kind()),
+            _ => unreachable!("kind checked at resolution"),
         });
     }
 
@@ -345,28 +578,26 @@ impl Telemetry {
     /// snapshot-time publication entry for subsystems that keep their
     /// own always-on counters (cache stats, ledgers, fault censuses).
     pub fn counter_store(&self, name: &str, labels: &[(&str, &str)], value: u64) {
-        self.with(|r| match r.entry(name, labels, Metric::Counter(0)) {
+        self.with(|r| match r.write(name, labels, new_counter) {
             Metric::Counter(c) => *c = value,
-            m => panic!("{name} is a {}, not a counter", m.kind()),
+            _ => unreachable!("kind checked at resolution"),
         });
     }
 
     /// Sets a gauge series to `value`.
     pub fn gauge_set(&self, name: &str, labels: &[(&str, &str)], value: f64) {
-        self.with(|r| match r.entry(name, labels, Metric::Gauge(0.0)) {
+        self.with(|r| match r.write(name, labels, new_gauge) {
             Metric::Gauge(g) => *g = value,
-            m => panic!("{name} is a {}, not a gauge", m.kind()),
+            _ => unreachable!("kind checked at resolution"),
         });
     }
 
     /// Records one observation into a histogram series.
     pub fn observe(&self, name: &str, labels: &[(&str, &str)], value: f64) {
-        self.with(
-            |r| match r.entry(name, labels, Metric::Histogram(Histogram::new())) {
-                Metric::Histogram(h) => h.observe(value),
-                m => panic!("{name} is a {}, not a histogram", m.kind()),
-            },
-        );
+        self.with(|r| match r.write(name, labels, new_histogram) {
+            Metric::Histogram(h) => h.observe(value),
+            _ => unreachable!("kind checked at resolution"),
+        });
     }
 
     /// Records a completed span as a duration observation
@@ -393,11 +624,9 @@ impl Telemetry {
     pub fn merged_histogram(&self, name: &str) -> Option<Histogram> {
         self.with(|r| {
             let mut merged: Option<Histogram> = None;
-            for ((n, _), m) in &r.metrics {
-                if n == name {
-                    if let Metric::Histogram(h) = m {
-                        merged.get_or_insert_with(Histogram::new).merge(h);
-                    }
+            for s in r.live(r.family(name)) {
+                if let Metric::Histogram(h) = &s.metric {
+                    merged.get_or_insert_with(Histogram::new).merge(h);
                 }
             }
             merged
@@ -405,28 +634,37 @@ impl Telemetry {
         .flatten()
     }
 
-    /// Clears every series (the handle stays enabled).
+    /// Clears every series (the handle stays enabled). Resolved series
+    /// handles stay valid: their series restart from zero and leave
+    /// snapshots until recorded into again. A name keeps its kind.
     pub fn reset(&self) {
-        self.with(|r| r.metrics.clear());
+        self.with(|r| {
+            for s in &mut r.series {
+                s.metric = s.metric.cleared();
+                s.live = false;
+            }
+        });
     }
 
     /// Freezes the registry into an immutable, deterministically
     /// ordered snapshot. A disabled handle snapshots empty.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        self.with(|r| TelemetrySnapshot {
-            series: r
-                .metrics
-                .iter()
-                .map(|((name, labels), m)| SeriesSnapshot {
-                    name: name.clone(),
-                    labels: labels.clone(),
-                    value: match m {
-                        Metric::Counter(c) => MetricValue::Counter(*c),
-                        Metric::Gauge(g) => MetricValue::Gauge(*g),
-                        Metric::Histogram(h) => MetricValue::Histogram(h.snapshot()),
-                    },
-                })
-                .collect(),
+        self.with(|r| {
+            let mut series = Vec::new();
+            for (name, ids) in &r.names {
+                for s in r.live(ids) {
+                    series.push(SeriesSnapshot {
+                        name: name.clone(),
+                        labels: s.labels.clone(),
+                        value: match &s.metric {
+                            Metric::Counter(c) => MetricValue::Counter(*c),
+                            Metric::Gauge(g) => MetricValue::Gauge(*g),
+                            Metric::Histogram(h) => MetricValue::Histogram(h.snapshot()),
+                        },
+                    });
+                }
+            }
+            TelemetrySnapshot { series }
         })
         .unwrap_or_default()
     }
@@ -930,6 +1168,104 @@ mod tests {
             t.snapshot()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn handles_record_what_the_string_api_records() {
+        let record = |by_handle: bool| {
+            let t = Telemetry::enabled();
+            let cells = ["0", "1", "2"];
+            let jobs: Vec<CounterHandle> = cells
+                .iter()
+                .map(|&c| t.counter("quamax_qpu_jobs_total", &[("cell", c)]))
+                .collect();
+            let waits: Vec<HistogramHandle> = cells
+                .iter()
+                .map(|&c| t.histogram("quamax_qpu_queue_wait_us", &[("cell", c), ("k", "v")]))
+                .collect();
+            for i in 0..30usize {
+                let c = i % 3;
+                let (start, end) = (i as f64, (i * i % 17) as f64);
+                if by_handle {
+                    jobs[c].inc();
+                    waits[c].span_us(start, end);
+                } else {
+                    t.counter_inc("quamax_qpu_jobs_total", &[("cell", cells[c])]);
+                    t.span_us(
+                        "quamax_qpu_queue_wait_us",
+                        &[("k", "v"), ("cell", cells[c])],
+                        start,
+                        end,
+                    );
+                }
+            }
+            t.snapshot()
+        };
+        let (handles, strings) = (record(true), record(false));
+        assert_eq!(handles, strings);
+        assert_eq!(handles.to_prometheus(), strings.to_prometheus());
+    }
+
+    #[test]
+    fn resolved_series_stay_out_of_snapshots_until_recorded() {
+        let t = Telemetry::enabled();
+        let hits = t.counter("quamax_cache_hits_total", &[]);
+        let wait = t.histogram("quamax_qpu_queue_wait_us", &[("cell", "0")]);
+        assert!(t.snapshot().series.is_empty());
+        assert!(t.merged_histogram("quamax_qpu_queue_wait_us").is_none());
+        wait.observe(4.0);
+        let snap = t.snapshot();
+        assert_eq!(snap.series.len(), 1);
+        assert!(snap.find("quamax_cache_hits_total", &[]).is_none());
+        hits.add(3);
+        assert_eq!(
+            t.snapshot().counter("quamax_cache_hits_total", &[]),
+            Some(3)
+        );
+    }
+
+    #[test]
+    fn handles_share_a_series_with_the_string_api_and_survive_reset() {
+        let t = Telemetry::enabled();
+        let a = t.counter("quamax_sched_batches_total", &[("trigger", "full")]);
+        let b = t
+            .clone()
+            .counter("quamax_sched_batches_total", &[("trigger", "full")]);
+        a.inc();
+        b.inc();
+        t.counter_inc("quamax_sched_batches_total", &[("trigger", "full")]);
+        let snap = t.snapshot();
+        assert_eq!(snap.series.len(), 1);
+        assert_eq!(
+            snap.counter("quamax_sched_batches_total", &[("trigger", "full")]),
+            Some(3)
+        );
+        t.reset();
+        assert!(t.snapshot().series.is_empty());
+        a.inc();
+        assert_eq!(
+            t.snapshot()
+                .counter("quamax_sched_batches_total", &[("trigger", "full")]),
+            Some(1)
+        );
+    }
+
+    #[test]
+    fn disabled_handles_are_inert() {
+        let t = Telemetry::disabled();
+        t.counter("quamax_test_total", &[]).add(5);
+        t.histogram("quamax_test_us", &[]).observe(1.0);
+        CounterHandle::default().inc();
+        HistogramHandle::default().span_us(0.0, 1.0);
+        assert!(t.snapshot().series.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "is a counter, not a histogram")]
+    fn resolving_a_handle_of_the_wrong_kind_panics() {
+        let t = Telemetry::enabled();
+        t.counter("quamax_x_total", &[]);
+        t.histogram("quamax_x_total", &[]);
     }
 
     #[test]
